@@ -10,9 +10,11 @@ package prompt_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"prompt/internal/experiment"
+	"prompt/internal/intern"
 	"prompt/internal/partition"
 	"prompt/internal/reducer"
 	"prompt/internal/stats"
@@ -219,24 +221,87 @@ func BenchmarkAccumulatorAdd(b *testing.B) {
 	b.ReportMetric(float64(batch.Len()), "tuples/op")
 }
 
-func BenchmarkAccumulatorFinalize(b *testing.B) {
-	batch := benchBatch(b, 100_000)
-	cfg := stats.DefaultAccumulatorConfig()
-	cfg.EstimatedTuples = batch.Len()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		acc, err := stats.NewAccumulator(cfg, 0, tuple.Second)
-		if err != nil {
+// keyBatch is one named batch of tuples for the accumulator benches.
+type keyBatch struct {
+	name string
+	ts   []tuple.Tuple
+}
+
+// accumulatorKeyBatches are the key distributions of the steady-state
+// accumulator benches: Zipf-hot keys (hot keys exhaust their update
+// budgets, long count-tie tails) and uniform keys (dense count ties).
+func accumulatorKeyBatches() []keyBatch {
+	const n = 100_000
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.1, 1, 49_999)
+	out := []keyBatch{{name: "zipf"}, {name: "uniform"}}
+	for i := 0; i < n; i++ {
+		ts := tuple.Time(int64(i) * int64(tuple.Second) / n)
+		out[0].ts = append(out[0].ts, tuple.NewTuple(ts, fmt.Sprintf("k%d", zipf.Uint64()), 1))
+		out[1].ts = append(out[1].ts, tuple.NewTuple(ts, fmt.Sprintf("k%d", r.Intn(20_000)), 1))
+	}
+	return out
+}
+
+// feedAccumulator resets acc and folds one batch through Algorithm 1.
+func feedAccumulator(b *testing.B, acc *stats.Accumulator, cfg stats.AccumulatorConfig, ts []tuple.Tuple) {
+	if err := acc.Reset(cfg, 0, tuple.Second); err != nil {
+		b.Fatal(err)
+	}
+	for j := range ts {
+		if err := acc.Add(ts[j], ts[j].TS); err != nil {
 			b.Fatal(err)
 		}
-		for j := range batch.Tuples {
-			if err := acc.Add(batch.Tuples[j], batch.Tuples[j].TS); err != nil {
+	}
+}
+
+// BenchmarkAccumulatorFold measures Algorithm 1's per-tuple fold on the
+// dictionary-mode hot path in steady state (accumulator and dictionary
+// reused across batches, as in the engine).
+func BenchmarkAccumulatorFold(b *testing.B) {
+	for _, kb := range accumulatorKeyBatches() {
+		b.Run(kb.name, func(b *testing.B) {
+			cfg := stats.DefaultAccumulatorConfig()
+			cfg.EstimatedTuples = len(kb.ts)
+			acc, err := stats.NewAccumulatorDict(cfg, intern.NewDict(0), 0, tuple.Second)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StartTimer()
-		acc.Finalize()
+			feedAccumulator(b, acc, cfg, kb.ts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				feedAccumulator(b, acc, cfg, kb.ts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(kb.ts)), "ns/tuple")
+		})
+	}
+}
+
+// BenchmarkAccumulatorFinalize measures the heartbeat hand-off alone:
+// ordering the batch's keys into the quasi-sorted list the partitioner
+// consumes, timed as its own span apart from the fold.
+func BenchmarkAccumulatorFinalize(b *testing.B) {
+	for _, kb := range accumulatorKeyBatches() {
+		b.Run(kb.name, func(b *testing.B) {
+			cfg := stats.DefaultAccumulatorConfig()
+			cfg.EstimatedTuples = len(kb.ts)
+			acc, err := stats.NewAccumulatorDict(cfg, intern.NewDict(0), 0, tuple.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			feedAccumulator(b, acc, cfg, kb.ts)
+			acc.Finalize()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				feedAccumulator(b, acc, cfg, kb.ts)
+				b.StartTimer()
+				acc.Finalize()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*acc.Keys()), "ns/key")
+		})
 	}
 }
 
@@ -285,40 +350,5 @@ func BenchmarkReduceAllocators(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- Micro-benchmarks: CountTree ----------------------------------------------
-
-func BenchmarkCountTreeInsert(b *testing.B) {
-	keys := make([]string, 10_000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ct stats.CountTree
-		for j, k := range keys {
-			ct.Insert(k, j%97)
-		}
-	}
-	b.ReportMetric(float64(len(keys)), "keys/op")
-}
-
-func BenchmarkCountTreeUpdate(b *testing.B) {
-	var ct stats.CountTree
-	const n = 10_000
-	keys := make([]string, n)
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		keys[i] = fmt.Sprintf("k%d", i)
-		counts[i] = i % 97
-		ct.Insert(keys[i], counts[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % n
-		ct.Update(keys[j], counts[j], counts[j]+1)
-		counts[j]++
 	}
 }

@@ -7,9 +7,11 @@
 // partitioning decisions at four points:
 //
 //   - Algorithm 1 — frequency-aware buffering: while a batch accumulates,
-//     a hash table plus a budget-updated balanced BST (the CountTree)
-//     maintain a quasi-sorted list of key frequencies online, so no
-//     sorting is needed when the heartbeat fires.
+//     a hash table collects each key's tuples and publishes its count
+//     under a per-key update budget. At the heartbeat one sort by
+//     published count yields the quasi-sorted key list. That is the
+//     order of the paper's budget-updated balanced BST (the CountTree),
+//     without maintaining the tree.
 //   - Algorithm 2 — micro-batch partitioning: a greedy heuristic for the
 //     NP-hard Balanced Bin Packing with Fragmentable Items problem splits
 //     the batch into equal-size, equal-cardinality data blocks with

@@ -1,8 +1,11 @@
 package check
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"prompt/internal/engine"
 )
 
 // TestMetamorphicScenarios is the harness entry point: it sweeps the
@@ -100,7 +103,7 @@ func TestShrinkFindsMinimalScenario(t *testing.T) {
 		t.Errorf("load-bearing fields not minimal: faults=%d batches=%d, want 1 and 3", got.FaultEvents, got.Batches)
 	}
 	if got.JitterMS != 0 || got.MaxDelayMS != 0 || got.Throttle || got.NonInvertible ||
-		got.Workers != 0 || got.Skew != "uniform" || got.CheckpointAt != 1 || got.Columnar ||
+		got.Workers != 0 || got.StatsShards > 1 || got.Skew != "uniform" || got.CheckpointAt != 1 || got.Columnar ||
 		len(got.ScaleEvents) != 0 || got.Approx != "" {
 		t.Errorf("irrelevant fields not reduced: %s", got)
 	}
@@ -115,5 +118,72 @@ func TestShrinkKeepsPassingScenario(t *testing.T) {
 	sc := Generate(3)
 	if got := Shrink(sc, func(Scenario) bool { return false }); !reflect.DeepEqual(got, sc) {
 		t.Errorf("shrink mutated a passing scenario: %s -> %s", sc, got)
+	}
+}
+
+// configCoverage accounts for every engine.Config field: either the
+// generator draws it (the value names the Scenario field driving it) or
+// it is answer-neutral for the harness, with the reason. A new Config
+// knob fails TestConfigCoverage until it is listed here, so it cannot
+// slip past the invariants unnoticed.
+var configCoverage = map[string]struct{ drawnBy, neutral string }{
+	"Workers":              {drawnBy: "Workers"},
+	"StatsShards":          {drawnBy: "StatsShards"},
+	"Partitioner":          {drawnBy: "Scheme"},
+	"Assigner":             {drawnBy: "Scheme"},
+	"Accum":                {drawnBy: "Scheme"},
+	"ColumnarIngest":       {drawnBy: "Columnar"},
+	"Faults":               {drawnBy: "FaultEvents"},
+	"Approx":               {drawnBy: "Approx"},
+	"BatchInterval":        {neutral: "fixed at 1s: the materialized batches and the window slide are defined on it"},
+	"MapTasks":             {neutral: "block count only shapes the layout; invariant 1 already compares every partitioning of the same batch"},
+	"ReduceTasks":          {neutral: "bucket count only shapes the layout; invariant 1 already compares every bucket assignment"},
+	"Cores":                {neutral: "simulated cores move simulated time only, never an answer or a partitioning decision"},
+	"Cost":                 {neutral: "the simulated cost model moves simulated time only"},
+	"AccumConfig":          {neutral: "budget and estimates change the quasi-sorted order only; the stats goldens pin it and invariant 1 shows answers are order-free"},
+	"EarlyReleaseFraction": {neutral: "release slack moves simulated start times only"},
+	"MPIWeights":           {neutral: "weights blend reported imbalance metrics, never a decision"},
+	"ValidateBatches":      {neutral: "always on in the harness, so every scenario checks placement invariants"},
+	"PipelineDepth":        {neutral: "wall-clock only by contract; invariant 9 runs depths 2 and 3 against depth 1 on every scenario"},
+	"Stragglers":           {neutral: "task slowdowns move simulated time only; invariant 4 covers injected stragglers through fault plans"},
+	"Observer":             {neutral: "a read-only event sink with no effect on execution"},
+	"Retry":                {neutral: "the retry policy answers injected faults; invariant 4 runs it with its defaults"},
+}
+
+// TestConfigCoverage checks configCoverage against engine.Config: every
+// field is listed exactly once, and every drawn field names a Scenario
+// field that Generate really varies across seeds.
+func TestConfigCoverage(t *testing.T) {
+	cfg := reflect.TypeOf(engine.Config{})
+	fields := map[string]bool{}
+	for i := 0; i < cfg.NumField(); i++ {
+		name := cfg.Field(i).Name
+		fields[name] = true
+		cov, ok := configCoverage[name]
+		switch {
+		case !ok:
+			t.Errorf("engine.Config.%s is neither drawn by Generate nor listed as answer-neutral", name)
+		case (cov.drawnBy == "") == (cov.neutral == ""):
+			t.Errorf("engine.Config.%s must be either drawn or answer-neutral with a reason", name)
+		}
+	}
+	for name, cov := range configCoverage {
+		if !fields[name] {
+			t.Errorf("configCoverage lists %s, which engine.Config no longer has", name)
+		}
+		if cov.drawnBy == "" {
+			continue
+		}
+		seen := map[string]bool{}
+		for seed := int64(1); seed <= 100; seed++ {
+			f := reflect.ValueOf(Generate(seed)).FieldByName(cov.drawnBy)
+			if !f.IsValid() {
+				t.Fatalf("engine.Config.%s is drawn by Scenario.%s, which does not exist", name, cov.drawnBy)
+			}
+			seen[fmt.Sprint(f.Interface())] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("engine.Config.%s: Generate never varies Scenario.%s over 100 seeds", name, cov.drawnBy)
+		}
 	}
 }

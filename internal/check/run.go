@@ -70,7 +70,7 @@ func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	refSnaps, refReports, _, err := snapshotsOf(sc, scheme, sc.Workers, batches)
+	refSnaps, ref, _, err := snapshotsOf(sc, scheme, sc.Workers, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("pipeline reference failed: %v", err)}
 	}
@@ -117,7 +117,7 @@ func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 					return []string{fmt.Sprintf("pipeline %s depth-%d run failed: %v", backend, depth, err)}
 				}
 				var violations []string
-				if !reflect.DeepEqual(reports, refReports) {
+				if !reflect.DeepEqual(reports, ref.Reports()) {
 					violations = append(violations, fmt.Sprintf(
 						"invariant 9 (pipeline equivalence): scheme %s reports diverged at depth %d (%s)",
 						sc.Scheme, depth, backend))
@@ -161,7 +161,7 @@ func checkMigrationEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	refSnaps, refReports, _, err := snapshotsOf(sc, scheme, 0, batches)
+	refSnaps, ref, _, err := snapshotsOf(sc, scheme, 0, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("migration reference failed: %v", err)}
 	}
@@ -215,7 +215,7 @@ func checkMigrationEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 				violations = append(violations, fmt.Sprintf("migration %s run failed: %v", backend, err))
 				return violations
 			}
-			if !reflect.DeepEqual(eng.Reports(), refReports) {
+			if !reflect.DeepEqual(eng.Reports(), ref.Reports()) {
 				violations = append(violations, fmt.Sprintf(
 					"invariant 8 (migration equivalence): scheme %s reports diverged under rescaling (%s)",
 					sc.Scheme, backend))
@@ -239,13 +239,13 @@ func checkColumnarEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	refSnaps, refReports, _, err := snapshotsOf(sc, scheme, 0, batches)
+	refSnaps, ref, _, err := snapshotsOf(sc, scheme, 0, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("columnar reference failed: %v", err)}
 	}
 	flip := sc
 	flip.Columnar = !sc.Columnar
-	snaps, reports, _, err := snapshotsOf(flip, scheme, 0, batches)
+	snaps, flipped, _, err := snapshotsOf(flip, scheme, 0, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("columnar-flipped run failed: %v", err)}
 	}
@@ -258,7 +258,7 @@ func checkColumnarEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 			break
 		}
 	}
-	if !reflect.DeepEqual(reports, refReports) {
+	if !reflect.DeepEqual(flipped.Reports(), ref.Reports()) {
 		violations = append(violations, fmt.Sprintf(
 			"invariant 7 (columnar == row): scheme %s reports differ between columnar=%v and columnar=%v",
 			sc.Scheme, flip.Columnar, sc.Columnar))
@@ -332,6 +332,7 @@ func baseConfig(sc Scenario, workers int) engine.Config {
 		ReduceTasks:     4,
 		Cores:           4,
 		Workers:         workers,
+		StatsShards:     sc.StatsShards,
 		ValidateBatches: true,
 		ColumnarIngest:  sc.Columnar,
 	}
@@ -357,7 +358,7 @@ func stepAll(eng *engine.Engine, batches [][]tuple.Tuple, after func(i int) erro
 // snapshotsOf runs one scheme over the batches and returns the window
 // answer after every batch, verifying invariant 3 (incremental state ==
 // Recompute) at each step.
-func snapshotsOf(sc Scenario, scheme core.Scheme, workers int, batches [][]tuple.Tuple) ([]map[string]float64, []engine.BatchReport, []string, error) {
+func snapshotsOf(sc Scenario, scheme core.Scheme, workers int, batches [][]tuple.Tuple) ([]map[string]float64, *engine.Engine, []string, error) {
 	eng, err := engine.New(scheme.Apply(baseConfig(sc, workers)), query(sc))
 	if err != nil {
 		return nil, nil, nil, err
@@ -374,20 +375,21 @@ func snapshotsOf(sc Scenario, scheme core.Scheme, workers int, batches [][]tuple
 		snaps = append(snaps, snap)
 		return nil
 	})
-	return snaps, eng.Reports(), violations, err
+	return snaps, eng, violations, err
 }
 
 // checkSchemeAndWindowInvariants covers invariants 1 and 3 plus worker
 // independence: every registered scheme must produce the same window
 // answer after every batch, each scheme's incremental window state must
-// match recomputation, and the scenario's scheme must report identically
-// at Workers 0 and the scenario's worker count.
+// match recomputation, and the scenario's scheme (plus Prompt, whatever
+// the scenario's scheme) must report and intern keys identically at
+// Workers 0 and the scenario's worker count.
 func checkSchemeAndWindowInvariants(sc Scenario, batches [][]tuple.Tuple) []string {
 	var violations []string
 	var refName string
 	var refSnaps []map[string]float64
 	for _, scheme := range core.Schemes() {
-		snaps, reports, vs, err := snapshotsOf(sc, scheme, 0, batches)
+		snaps, eng, vs, err := snapshotsOf(sc, scheme, 0, batches)
 		violations = append(violations, vs...)
 		if err != nil {
 			violations = append(violations, fmt.Sprintf("scheme %s failed: %v", scheme.Name, err))
@@ -405,14 +407,23 @@ func checkSchemeAndWindowInvariants(sc Scenario, batches [][]tuple.Tuple) []stri
 				}
 			}
 		}
-		if scheme.Name == sc.Scheme && sc.Workers != 0 {
-			_, wreports, _, err := snapshotsOf(sc, scheme, sc.Workers, batches)
+		// Prompt is the one scheme running Algorithm 1, the only consumer
+		// of StatsShards, so it takes the workers arm on every scenario.
+		if (scheme.Name == sc.Scheme || scheme.Accum == engine.FrequencyAware) && sc.Workers != 0 {
+			_, weng, _, err := snapshotsOf(sc, scheme, sc.Workers, batches)
 			if err != nil {
 				violations = append(violations, fmt.Sprintf(
 					"scheme %s at workers=%d failed: %v", scheme.Name, sc.Workers, err))
-			} else if !reflect.DeepEqual(wreports, reports) {
+			} else if !reflect.DeepEqual(weng.Reports(), eng.Reports()) {
 				violations = append(violations, fmt.Sprintf(
 					"invariant 1 (worker independence): scheme %s reports differ between workers=0 and workers=%d",
+					scheme.Name, sc.Workers))
+			} else if !reflect.DeepEqual(weng.Dict().Snapshot(), eng.Dict().Snapshot()) {
+				// Interned IDs reach checkpoints, wire dictionary deltas
+				// and columnar batches, so they must not depend on the
+				// worker count either.
+				violations = append(violations, fmt.Sprintf(
+					"invariant 1 (worker independence): scheme %s interned dictionary differs between workers=0 and workers=%d",
 					scheme.Name, sc.Workers))
 			}
 		}
@@ -505,7 +516,7 @@ func checkTransportEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	refSnaps, refReports, _, err := snapshotsOf(sc, scheme, 0, batches)
+	refSnaps, ref, _, err := snapshotsOf(sc, scheme, 0, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("transport reference failed: %v", err)}
 	}
@@ -554,7 +565,7 @@ func checkTransportEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 				violations = append(violations, fmt.Sprintf(
 					"invariant 6 (transport equivalence): %d shard(s) marked down over %s", down, backend))
 			}
-			if !reflect.DeepEqual(eng.Reports(), refReports) {
+			if !reflect.DeepEqual(eng.Reports(), ref.Reports()) {
 				violations = append(violations, fmt.Sprintf(
 					"invariant 6 (transport equivalence): scheme %s reports diverged over %s (%d shards)",
 					sc.Scheme, backend, shards))

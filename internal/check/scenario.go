@@ -1,9 +1,9 @@
 // Package check is the seeded metamorphic + differential stress harness:
 // it generates random end-to-end scenarios — workload skew, arrival
-// jitter, partitioning scheme, worker count, fault plans, window specs
-// including non-invertible reduces, mid-run checkpoint/restore, AIMD
-// throttling, reorder-buffer delays — and cross-checks the invariants the
-// fixed golden tests cannot reach:
+// jitter, partitioning scheme, worker count, statistics shard count, fault
+// plans, window specs including non-invertible reduces, mid-run
+// checkpoint/restore, AIMD throttling, reorder-buffer delays — and
+// cross-checks the invariants the fixed golden tests cannot reach:
 //
 //  1. every registered scheme produces the same window answers,
 //  2. checkpoint/restore at any batch boundary equals the uninterrupted
@@ -68,6 +68,11 @@ type Scenario struct {
 	// Workers is the real-goroutine count of the full-stack run (0, 1, or
 	// 4); reports must not depend on it.
 	Workers int
+	// StatsShards is the engine's Algorithm 1 shard count (1 = single
+	// accumulator, 2 or 3 = sharded statistics) for every invariant's
+	// engine. Reports and the interned dictionary must not depend on
+	// Workers at any shard count.
+	StatsShards int
 	// WindowSec is the sliding window length in seconds (slide one
 	// second); NonInvertible selects a Max-reduce query, forcing the
 	// recompute-on-evict path.
@@ -144,6 +149,8 @@ func Generate(seed int64) Scenario {
 	// of PROMPT_CHECK_SEED).
 	kinds := approx.Kinds()
 	sc.Approx = string(kinds[rng.Intn(len(kinds))])
+	// The stats shard count draws last for the same replay stability.
+	sc.StatsShards = 1 + rng.Intn(3)
 	return sc
 }
 
@@ -155,9 +162,9 @@ func (sc Scenario) String() string {
 		scale[i] = fmt.Sprintf("%d:%d", ev.AtBatch, ev.Owners)
 	}
 	return fmt.Sprintf("seed=%d batches=%d ckpt@%d rate=%g keys=%d skew=%s scheme=%s "+
-		"workers=%d window=%ds noninv=%v faults=%d jitter=%dms maxdelay=%dms throttle=%v columnar=%v scale=[%s] approx=%s",
+		"workers=%d stats=%d window=%ds noninv=%v faults=%d jitter=%dms maxdelay=%dms throttle=%v columnar=%v scale=[%s] approx=%s",
 		sc.Seed, sc.Batches, sc.CheckpointAt, sc.Rate, sc.Keys, sc.Skew, sc.Scheme,
-		sc.Workers, sc.WindowSec, sc.NonInvertible, sc.FaultEvents,
+		sc.Workers, sc.StatsShards, sc.WindowSec, sc.NonInvertible, sc.FaultEvents,
 		sc.JitterMS, sc.MaxDelayMS, sc.Throttle, sc.Columnar, strings.Join(scale, ","), sc.Approx)
 }
 

@@ -75,9 +75,10 @@ type Config struct {
 	// StatsShards splits Algorithm 1 across that many independent
 	// accumulator shards (routed by key hash, merged at the heartbeat
 	// into an exactly sorted key list). 0 or 1 keeps the single
-	// accumulator with its CountTree quasi-sorted order. The shard count
-	// — not the worker count — determines the merged output, so a fixed
-	// StatsShards yields identical reports at any Workers setting.
+	// accumulator with its quasi-sorted order. The shard count — not the
+	// worker count — determines the merged output, and keys are interned
+	// in arrival order before the shards fan out, so a fixed StatsShards
+	// yields identical reports and dictionaries at any Workers setting.
 	StatsShards int
 	// Partitioner is the batching-phase partitioner (Problem I).
 	Partitioner partition.Partitioner

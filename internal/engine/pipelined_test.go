@@ -150,6 +150,31 @@ func TestPipelinedDepthEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedStatsDictDeterministic repeats one depth-1 run with sharded
+// statistics (StatsShards=3) on a 4-goroutine pool and requires identical
+// interned dictionaries every time, equal to the unsharded run's: intern
+// IDs must follow arrival order, never goroutine scheduling, or
+// checkpoint bytes, wire dictionary deltas and columnar IDs stop being
+// reproducible.
+func TestShardedStatsDictDeterministic(t *testing.T) {
+	freezeClock(t)
+	var sharded, row pipeScenario
+	for _, sc := range pipeScenarios() {
+		switch sc.name {
+		case "prompt-sharded":
+			sharded = sc
+		case "prompt-row":
+			row = sc
+		}
+	}
+	want := runAtDepth(t, row, 1, 0, 4).dict
+	for run := 0; run < 6; run++ {
+		if got := runAtDepth(t, sharded, 1, 4, 4).dict; !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: sharded-stats dictionary diverges from arrival-order interning", run)
+		}
+	}
+}
+
 // TestPipelinedResumesSequential verifies a pipelined run and sequential
 // Steps compose: batches run pipelined, then stepped, then pipelined
 // again, matching one long sequential run bit for bit (the estimate

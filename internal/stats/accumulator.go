@@ -1,6 +1,14 @@
+// Package stats implements the frequency-aware buffering mechanism of the
+// batching phase (Algorithm 1 of the paper): a hash table of per-key tuple
+// lists whose approximate counts are published under a per-key update
+// budget, so that the total update work is bounded by the budget per key.
+// At the heartbeat one sort of the table by published count yields the
+// quasi-sorted key list the paper reads from its balanced BST (the
+// CountTree).
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -11,8 +19,8 @@ import (
 
 // AccumulatorConfig tunes the frequency-aware buffering mechanism.
 type AccumulatorConfig struct {
-	// Budget is the maximum number of CountTree updates allowed per key per
-	// batch interval (the paper's "update allowance").
+	// Budget is the maximum number of published count updates allowed per
+	// key per batch interval (the paper's "update allowance").
 	Budget int
 	// EstimatedTuples (N_Est) is the expected number of tuples per batch
 	// given the recent data rate; it seeds the initial frequency step.
@@ -54,7 +62,8 @@ func (c AccumulatorConfig) initialFStep() int {
 
 // SortedKey is one element of the accumulator's output: a key with its
 // exact frequency and buffered tuples. The slice handed to the partitioner
-// is ordered by the CountTree (descending, quasi-sorted).
+// is quasi-sorted: descending by each key's last published count
+// (FreqUpdated), key descending on ties.
 //
 // Exactly one of Tuples (row mode) and Cols (column mode, after an
 // AddColumns fold) holds the key's tuples.
@@ -70,14 +79,18 @@ type SortedKey struct {
 type BatchStats struct {
 	Tuples      int // N_C: number of data tuples
 	Keys        int // |K|: number of distinct keys
-	TreeUpdates int // CountTree node moves performed (cost accounting)
+	TreeUpdates int // budgeted count publications (cost accounting)
 	Start, End  tuple.Time
 }
 
 // Accumulator implements Algorithm 1 (Micro-batch Accumulator): it buffers
-// incoming tuples into the HTable and maintains the quasi-sorted CountTree
-// under the budgeted f.step / t.step update discipline, so that at the
-// heartbeat the batch is already key-sorted and ready for partitioning.
+// incoming tuples into the HTable and publishes each key's count under the
+// budgeted f.step / t.step update discipline. The paper keeps the
+// published counts in a balanced BST (the CountTree) so the key list is
+// quasi-sorted when the heartbeat fires; here the tree is only ever read
+// once, in Finalize, and a node's count always equals its entry's
+// FreqUpdated, so one sort of the HTable by (FreqUpdated desc, key desc)
+// at the heartbeat reproduces the tree's descending walk exactly.
 //
 // An Accumulator is not safe for concurrent use; the receiver owns it.
 //
@@ -94,7 +107,6 @@ type Accumulator struct {
 	cfg   AccumulatorConfig
 	dict  *intern.Dict
 	ht    *HTable
-	ct    *CountTree
 	start tuple.Time
 	end   tuple.Time
 
@@ -103,6 +115,11 @@ type Accumulator struct {
 	initialF    int
 	columnar    bool        // this batch was folded via AddColumns
 	out         []SortedKey // dict mode: Finalize output, reused across batches
+
+	// Finalize scratch, reused across batches: the entries in heartbeat
+	// order and the counting pass's run offsets.
+	order    []rankedEntry
+	runStart []int32
 }
 
 // NewAccumulator returns an accumulator for the batch interval
@@ -131,7 +148,6 @@ func newAccumulator(cfg AccumulatorConfig, dict *intern.Dict, start, end tuple.T
 	a := &Accumulator{
 		cfg:      cfg,
 		dict:     dict,
-		ct:       &CountTree{},
 		start:    start,
 		end:      end,
 		initialF: cfg.initialFStep(),
@@ -145,7 +161,7 @@ func newAccumulator(cfg AccumulatorConfig, dict *intern.Dict, start, end tuple.T
 }
 
 // Reset prepares the accumulator for the next batch interval, clearing the
-// HTable and CountTree as the paper prescribes at every heartbeat. Updated
+// HTable as the paper prescribes at every heartbeat. Updated
 // estimates may be supplied so f.step starts close to its converged value.
 func (a *Accumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error {
 	if err := cfg.validate(); err != nil {
@@ -156,7 +172,6 @@ func (a *Accumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error 
 	}
 	a.cfg = cfg
 	a.ht.Reset(cfg.EstimatedKeys)
-	a.ct.Reset()
 	a.start, a.end = start, end
 	a.nTuples = 0
 	a.treeUpdates = 0
@@ -177,48 +192,70 @@ func (a *Accumulator) Tuples() int { return a.nTuples }
 // Keys returns the number of distinct keys received so far (|K|).
 func (a *Accumulator) Keys() int { return a.ht.Len() }
 
-// TreeUpdates returns the number of CountTree node moves so far; tests use
-// it to verify the budget bounds the total update work.
+// TreeUpdates returns the number of budgeted count publications so far;
+// tests use it to verify the budget bounds the total update work.
 func (a *Accumulator) TreeUpdates() int { return a.treeUpdates }
 
 // Add ingests one tuple at arrival time now, following Algorithm 1. Tuples
 // outside the batch interval are rejected with an error (the engine routes
 // tuples to the right accumulator before calling Add).
 func (a *Accumulator) Add(t tuple.Tuple, now tuple.Time) error {
-	if t.TS < a.start || t.TS >= a.end {
-		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", t.TS, a.start, a.end)
+	if err := a.checkTS(t.TS); err != nil {
+		return err
 	}
-	a.nTuples++
-	var e *KeyEntry
 	if a.dict != nil {
-		id := a.dict.Intern(t.Key)
-		if e = a.ht.GetID(id); e == nil {
-			// New key: the arena entry arrives with its previous batch's
-			// tuple backing array, length 0.
-			a.newEntry(a.ht.PutID(id, t.Key), t, now)
-			return nil
-		}
+		a.addID(a.dict.Intern(t.Key), t, now)
 	} else {
-		if e = a.ht.Get(t.Key); e == nil {
-			e = &KeyEntry{Key: t.Key, Tuples: make([]tuple.Tuple, 0, 4)}
-			a.ht.Put(e)
-			a.newEntry(e, t, now)
-			return nil
-		}
+		a.addKey(t, now)
 	}
+	return nil
+}
 
-	// Existing key: buffer the tuple and decide whether its CountTree node
-	// is eligible for an update this arrival.
+// checkTS rejects timestamps outside the batch interval.
+func (a *Accumulator) checkTS(ts tuple.Time) error {
+	if ts < a.start || ts >= a.end {
+		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
+	}
+	return nil
+}
+
+// addKey is Add's map-mode fold for a tuple whose timestamp the caller
+// already checked.
+func (a *Accumulator) addKey(t tuple.Tuple, now tuple.Time) {
+	a.nTuples++
+	e := a.ht.Get(t.Key)
+	if e == nil {
+		e = &KeyEntry{Key: t.Key, Tuples: make([]tuple.Tuple, 0, 4)}
+		a.ht.Put(e)
+		a.newEntry(e, t, now)
+		return
+	}
+	// Existing key: buffer the tuple and decide whether its published
+	// count is due for an update this arrival.
 	e.Tuples = append(e.Tuples, t)
 	a.bump(e, now)
-	return nil
+}
+
+// addID is Add's dictionary-mode fold for a tuple whose key the caller
+// already interned as id and whose timestamp it already checked.
+func (a *Accumulator) addID(id uint32, t tuple.Tuple, now tuple.Time) {
+	a.nTuples++
+	e := a.ht.GetID(id)
+	if e == nil {
+		// New key: the arena entry arrives with its previous batch's
+		// tuple backing array, length 0.
+		a.newEntry(a.ht.PutID(id, t.Key), t, now)
+		return
+	}
+	e.Tuples = append(e.Tuples, t)
+	a.bump(e, now)
 }
 
 // AddColumns ingests a whole ColumnBatch in row order, the columnar twin
 // of calling Add on each row with now = TS[i]. The budget decision
-// sequence (and therefore the CountTree's quasi-sorted order, the tree
-// update count, and Finalize's output order) is identical to the
-// row-mode fold over the same rows; only the per-key buffering changes,
+// sequence (and therefore the published counts, the update count, and
+// Finalize's output order) is identical to the row-mode fold over the
+// same rows; only the per-key buffering changes,
 // into ColSlice columns instead of []Tuple. Requires a dictionary-mode
 // accumulator whose dictionary interned the batch's IDs.
 func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
@@ -228,15 +265,15 @@ func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
 	a.columnar = true
 	for i := range cb.IDs {
 		ts := cb.TS[i]
-		if ts < a.start || ts >= a.end {
-			return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
+		if err := a.checkTS(ts); err != nil {
+			return err
 		}
 		a.nTuples++
 		id := cb.IDs[i]
 		e := a.ht.GetID(id)
 		if e == nil {
 			// First sighting: resolve the key string once, for the HTable
-			// entry and the CountTree node.
+			// entry.
 			e = a.ht.PutID(id, a.dict.Resolve(id))
 			e.Cols = e.Cols.Append(ts, cb.Vals[i], cb.W[i])
 			a.initEntry(e, ts)
@@ -249,7 +286,7 @@ func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
 }
 
 // bump counts one more arrival of an existing key at time now and decides
-// whether its CountTree node is eligible for an update — the budgeted
+// whether its published count is due for an update — the budgeted
 // f.step / t.step discipline shared by the row and column folds.
 func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent++
@@ -258,10 +295,10 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 
 	switch {
 	case e.Budget > 0 && deltaFreq >= e.FStep:
-		// Frequency step fired: move the node to the exact current count
-		// and re-estimate f.step proportionally to the key's share of the
+		// Frequency step fired: publish the exact current count and
+		// re-estimate f.step proportionally to the key's share of the
 		// batch so far (hot keys need more tuples per update).
-		a.updateNode(e, now)
+		a.publish(e, now)
 		fstep := (a.cfg.EstimatedTuples / a.cfg.Budget) * e.FreqCurrent / a.nTuples
 		if fstep < 1 {
 			fstep = 1
@@ -270,7 +307,7 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	case e.Budget > 0 && deltaTime >= e.TStep:
 		// Time step fired: refresh cold keys so their counts do not go
 		// stale, spreading the remaining budget over the remaining time.
-		a.updateNode(e, now)
+		a.publish(e, now)
 		remaining := a.end - now
 		if remaining < 0 {
 			remaining = 0
@@ -282,15 +319,14 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 }
 
 // newEntry initializes a first-sighting key entry (Algorithm 1's insert
-// arm) and registers the key in the CountTree with count 1.
+// arm), publishing count 1.
 func (a *Accumulator) newEntry(e *KeyEntry, t tuple.Tuple, now tuple.Time) {
 	e.Tuples = append(e.Tuples, t)
 	a.initEntry(e, now)
 }
 
 // initEntry seeds the budget statistics of a first-sighting entry whose
-// first tuple the caller already buffered, and registers the key in the
-// CountTree with count 1.
+// first tuple the caller already buffered, publishing count 1.
 func (a *Accumulator) initEntry(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent = 1
 	e.FreqUpdated = 1
@@ -298,13 +334,12 @@ func (a *Accumulator) initEntry(e *KeyEntry, now tuple.Time) {
 	e.FStep = a.initialF
 	e.TStep = (a.end - now) / tuple.Time(a.cfg.Budget)
 	e.LastUpdate = now
-	a.ct.Insert(e.Key, 1)
 }
 
-// updateNode moves the key's CountTree node from its stale count to the
-// exact current count and charges the key's budget.
-func (a *Accumulator) updateNode(e *KeyEntry, now tuple.Time) {
-	a.ct.Update(e.Key, e.FreqUpdated, e.FreqCurrent)
+// publish moves the key's published count from its stale value to the
+// exact current count (the paper's CountTree node move) and charges the
+// key's budget.
+func (a *Accumulator) publish(e *KeyEntry, now tuple.Time) {
 	e.FreqUpdated = e.FreqCurrent
 	e.Budget--
 	e.LastUpdate = now
@@ -313,29 +348,30 @@ func (a *Accumulator) updateNode(e *KeyEntry, now tuple.Time) {
 
 // Finalize produces the quasi-sorted key list ⟨k, count, tupleList⟩ for the
 // partitioner plus the batch statistics, at the heartbeat (or at the early
-// batch release cut-off). Counts in the output are exact (taken from the
-// HTable); the ordering is the CountTree's quasi-sorted descending order.
+// batch release cut-off). Counts in the output are exact (FreqCurrent);
+// the order is descending by published count (FreqUpdated), key
+// descending on ties — the paper's descending CountTree walk, produced by
+// one sort of the HTable entries.
 //
 // In dictionary mode the returned slice is owned by the accumulator and
-// valid until the next Reset.
+// valid until the next Reset; the steady state allocates nothing.
 func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
+	order := a.rankOrder()
 	var out []SortedKey
-	if a.dict != nil && cap(a.out) >= a.ht.Len() {
-		out = a.out[:0]
+	if a.dict != nil && cap(a.out) >= len(order) {
+		out = a.out[:len(order)]
 	} else {
-		out = make([]SortedKey, 0, a.ht.Len())
+		out = make([]SortedKey, len(order))
 	}
-	a.ct.WalkDescending(func(key string, count int) {
-		e := a.ht.Get(key)
-		if e == nil {
-			return // unreachable: tree and table are kept in sync
-		}
+	for i, r := range order {
+		e := r.e
 		if a.columnar {
-			out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Cols: e.Cols})
+			out[i] = SortedKey{Key: e.Key, Count: e.FreqCurrent, Cols: e.Cols}
 		} else {
-			out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Tuples: e.Tuples})
+			out[i] = SortedKey{Key: e.Key, Count: e.FreqCurrent, Tuples: e.Tuples}
 		}
-	})
+	}
+	clear(order) // drop the entry pointers so the reused scratch pins nothing
 	if a.dict != nil {
 		a.out = out
 	}
@@ -347,6 +383,73 @@ func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
 		End:         a.end,
 	}
 	return out, st
+}
+
+// rankOrder returns the HTable entries in the heartbeat order: published
+// count descending, key descending on ties. A counting pass over the
+// published counts places each equal-count run, and only those runs are
+// comparison-sorted, by key. The result aliases the accumulator's scratch.
+func (a *Accumulator) rankOrder() []rankedEntry {
+	// runStart[u] counts the keys published at count u, then becomes the
+	// next free slot of that run, with the highest count's run first.
+	runStart := a.runStart[:0]
+	a.ht.Range(func(e *KeyEntry) {
+		for e.FreqUpdated >= len(runStart) {
+			runStart = append(runStart, 0)
+		}
+		runStart[e.FreqUpdated]++
+	})
+	next := int32(0)
+	for u := len(runStart) - 1; u >= 0; u-- {
+		n := runStart[u]
+		runStart[u] = next
+		next += n
+	}
+	order := slices.Grow(a.order[:0], a.ht.Len())[:a.ht.Len()]
+	a.ht.Range(func(e *KeyEntry) {
+		i := runStart[e.FreqUpdated]
+		runStart[e.FreqUpdated]++
+		order[i] = rankedEntry{upd: e.FreqUpdated, prefix: keyPrefix(e.Key), e: e}
+	})
+	a.runStart, a.order = runStart, order
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].upd == order[lo].upd {
+			hi++
+		}
+		slices.SortFunc(order[lo:hi], func(x, y rankedEntry) int {
+			if x.prefix != y.prefix {
+				return cmp.Compare(y.prefix, x.prefix)
+			}
+			return strings.Compare(y.e.Key, x.e.Key)
+		})
+		lo = hi
+	}
+	return order
+}
+
+// rankedEntry is one HTable entry with its sort key copied out, so the
+// heartbeat sort compares contiguous records instead of chasing entry
+// pointers: the published count, then the key's first eight bytes, and
+// only on a prefix tie the whole key.
+type rankedEntry struct {
+	upd    int
+	prefix uint64
+	e      *KeyEntry
+}
+
+// keyPrefix packs the first eight bytes of key big-endian, zero-padded.
+// Distinct prefixes order exactly like their keys; equal prefixes need the
+// full comparison.
+func keyPrefix(key string) uint64 {
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(key) {
+			p |= uint64(key[i])
+		}
+	}
+	return p
 }
 
 // PostSort is the baseline the paper compares against in Figure 14a: buffer

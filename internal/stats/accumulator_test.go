@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
 
@@ -72,7 +74,7 @@ func TestAccumulatorExactCounts(t *testing.T) {
 }
 
 func TestAccumulatorQuasiSortedOutput(t *testing.T) {
-	// The CountTree ordering is approximate, but with a skewed stream the
+	// The quasi-sorted ordering is approximate, but with a skewed stream the
 	// heavy keys must surface near the front. Measure rank displacement
 	// against the exact ordering.
 	a := defaultAcc(t)
@@ -98,7 +100,7 @@ func TestAccumulatorQuasiSortedOutput(t *testing.T) {
 		}
 	}
 	if maxPos > 3 {
-		t.Errorf("heaviest key surfaced at position %d; CountTree ordering too stale", maxPos)
+		t.Errorf("heaviest key surfaced at position %d; quasi-sorted ordering too stale", maxPos)
 	}
 	// Global quality: mean displacement between quasi-sorted positions
 	// and exact positions should be small relative to the key count.
@@ -140,7 +142,7 @@ func TestAccumulatorBudgetBoundsTreeUpdates(t *testing.T) {
 		t.Errorf("TreeUpdates = %d exceeds budget bound %d", st.TreeUpdates, limit)
 	}
 	if st.TreeUpdates == 0 {
-		t.Error("no CountTree updates at all; f.step/t.step never fired")
+		t.Error("no count updates at all; f.step/t.step never fired")
 	}
 }
 
@@ -205,7 +207,7 @@ func TestPostSortMatchesAccumulatorContent(t *testing.T) {
 
 func TestAccumulatorTimeStepRefreshesColdKeys(t *testing.T) {
 	// A cold key receives a burst early, then a single late tuple. The
-	// frequency step alone would leave its CountTree node stale; the time
+	// frequency step alone would leave its published count stale; the time
 	// step must refresh it once enough time has elapsed.
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 1000000, EstimatedKeys: 10}
 	a, err := NewAccumulator(cfg, 0, tuple.Second)
@@ -269,5 +271,102 @@ func TestInitialFStep(t *testing.T) {
 	cfg = AccumulatorConfig{Budget: 100, EstimatedTuples: 10, EstimatedKeys: 1000}
 	if got := cfg.initialFStep(); got != 1 {
 		t.Errorf("initialFStep floor = %d, want 1", got)
+	}
+}
+
+// TestFinalizePublishedCountMovesKey checks that publishing a key's count
+// moves it in the heartbeat order: a key overtakes another only once its
+// f.step fires, and the order follows published counts, not exact ones.
+func TestFinalizePublishedCountMovesKey(t *testing.T) {
+	// f.step = 40/(1*2) = 20, and t.step (half the interval) never fires.
+	cfg := AccumulatorConfig{Budget: 2, EstimatedTuples: 40, EstimatedKeys: 1}
+	a, err := NewAccumulator(cfg, 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := tuple.Time(0)
+	add := func(key string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			ts++
+			if err := a.Add(tuple.NewTuple(ts, key, 1), ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add("b", 10)
+	add("a", 1)
+	if sorted, _ := a.Finalize(); sorted[0].Key != "b" {
+		// Both published counts are still 1: the key tie-break puts b first.
+		t.Fatalf("head = %s, want b before a publishes", sorted[0].Key)
+	}
+	add("a", 30)
+	sorted, _ := a.Finalize()
+	if sorted[0].Key != "a" || sorted[0].Count != 31 {
+		t.Fatalf("head = %s/%d, want a/31 after its count was published", sorted[0].Key, sorted[0].Count)
+	}
+	if pa, pb := a.ht.Get("a").FreqUpdated, a.ht.Get("b").FreqUpdated; pa <= pb {
+		t.Fatalf("published counts a=%d b=%d; a must lead", pa, pb)
+	}
+}
+
+// TestFinalizeQuickOrdering is the ordering property over arbitrary
+// arrival sequences, in map and dictionary mode: Finalize returns every
+// key exactly once with its exact count, ordered by published count
+// descending with key descending on ties.
+func TestFinalizeQuickOrdering(t *testing.T) {
+	f := func(keys []uint8, gaps []uint16, budget uint8) bool {
+		cfg := AccumulatorConfig{Budget: 1 + int(budget%8), EstimatedTuples: 1 + len(keys), EstimatedKeys: 16}
+		for _, dict := range []*intern.Dict{nil, intern.NewDict(0)} {
+			var a *Accumulator
+			var err error
+			if dict == nil {
+				a, err = NewAccumulator(cfg, 0, tuple.Second)
+			} else {
+				a, err = NewAccumulatorDict(cfg, dict, 0, tuple.Second)
+			}
+			if err != nil {
+				return false
+			}
+			want := map[string]int{}
+			ts := tuple.Time(0)
+			for i, k := range keys {
+				if i < len(gaps) {
+					ts += tuple.Time(gaps[i]) * tuple.Microsecond
+				}
+				if ts >= tuple.Second {
+					break
+				}
+				key := fmt.Sprintf("k%d", k%40)
+				if err := a.Add(tuple.NewTuple(ts, key, 1), ts); err != nil {
+					return false
+				}
+				want[key]++
+			}
+			sorted, st := a.Finalize()
+			if len(sorted) != len(want) || st.Keys != len(want) {
+				return false
+			}
+			for i, sk := range sorted {
+				if sk.Count != want[sk.Key] || len(sk.Tuples) != sk.Count {
+					return false
+				}
+				delete(want, sk.Key)
+				if i == 0 {
+					continue
+				}
+				prev, cur := a.ht.Get(sorted[i-1].Key).FreqUpdated, a.ht.Get(sk.Key).FreqUpdated
+				if prev < cur || (prev == cur && sorted[i-1].Key <= sk.Key) {
+					return false
+				}
+			}
+			if len(want) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

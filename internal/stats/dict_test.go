@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prompt/internal/cluster"
 	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
@@ -124,8 +125,8 @@ func TestDictShardedMatchesMapSharded(t *testing.T) {
 
 // TestDictAccumulatorSteadyStateReuse checks the memory contract: after
 // the first batch established capacity, a repeat batch with the same key
-// set must not grow the HTable arena or the CountTree (free-listed nodes
-// are reused) and Finalize must return the same backing slice.
+// set must not grow the HTable arena and Finalize must return the same
+// backing slice.
 func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 1000, EstimatedKeys: 10}
 	a, err := NewAccumulatorDict(cfg, intern.NewDict(0), 0, tuple.Second)
@@ -161,6 +162,63 @@ func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 	for i := range second {
 		if second[i].Count != 100 {
 			t.Fatalf("key %s count %d, want 100", second[i].Key, second[i].Count)
+		}
+	}
+}
+
+// TestDictFinalizeZeroAlloc pins the heartbeat hand-off's memory
+// contract: once a dictionary-mode accumulator has seen its steady-state
+// cardinality, Finalize (collect, order, and build the output) makes no
+// allocation at all.
+func TestDictFinalizeZeroAlloc(t *testing.T) {
+	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
+	a, err := NewAccumulatorDict(cfg, intern.NewDict(0), 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range dictTestTuples(rand.New(rand.NewSource(5)), 2000, 0, tuple.Second) {
+		if err := a.Add(tp, tp.TS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Finalize()
+	if allocs := testing.AllocsPerRun(20, func() { a.Finalize() }); allocs != 0 {
+		t.Fatalf("steady-state Finalize made %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestDictShardedInternsInArrivalOrder runs the sharded row fold on a
+// multi-goroutine pool several times and requires the interned dictionary
+// to come out identical every time — and identical to a single
+// accumulator's, which interns in arrival order. IDs assigned in
+// goroutine-scheduling order would make checkpoints, wire dictionary
+// deltas and columnar IDs irreproducible.
+func TestDictShardedInternsInArrivalOrder(t *testing.T) {
+	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 5000, EstimatedKeys: 300}
+	tuples := shardedTestBatch(5000, 300, 9)
+	single := intern.NewDict(0)
+	acc, err := NewAccumulatorDict(cfg, single, 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range tuples {
+		if err := acc.Add(tp, tp.TS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := single.Snapshot()
+	pool := cluster.NewWorkerPool(4)
+	for run := 0; run < 8; run++ {
+		dict := intern.NewDict(0)
+		sa, err := NewShardedDict(cfg, dict, 3, 0, tuple.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sa.AddAll(tuples, pool); err != nil {
+			t.Fatal(err)
+		}
+		if got := dict.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: sharded dictionary diverges from arrival-order interning", run)
 		}
 	}
 }

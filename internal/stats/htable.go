@@ -6,18 +6,19 @@ import (
 )
 
 // KeyEntry is the per-key record stored in the HTable. It holds the key's
-// buffered tuples and the auxiliary statistics driving the budgeted
-// CountTree update mechanism of Algorithm 1:
+// buffered tuples and the auxiliary statistics driving the budgeted count
+// updates of Algorithm 1:
 //
 //   - FreqCurrent: exact number of tuples received for the key this batch.
-//   - FreqUpdated: the (approximate) count currently reflected in the
-//     CountTree node for the key.
-//   - Budget: remaining CountTree updates allowed for the key this batch.
-//   - FStep: frequency step — the node is updated once every FStep new
+//   - FreqUpdated: the (approximate) count last published for the key —
+//     the count the paper's CountTree node would hold. Finalize orders
+//     keys by it.
+//   - Budget: remaining count updates allowed for the key this batch.
+//   - FStep: frequency step — the count is published once every FStep new
 //     tuples of its key.
 //   - TStep: time step — low-frequency keys are refreshed when TStep time
 //     has elapsed since the last update, so cold keys do not go stale.
-//   - LastUpdate: time of the key's last CountTree update.
+//   - LastUpdate: time of the key's last published update.
 type KeyEntry struct {
 	Key string
 	// ID is the key's dense intern ID when the table runs in dictionary
@@ -37,10 +38,9 @@ type KeyEntry struct {
 	LastUpdate  tuple.Time
 }
 
-// HTable maps partitioning keys to their entries. Every key present in the
-// HTable has a corresponding node in the CountTree (the bi-directional
-// pointer of the paper is realized by keying both structures on the key
-// plus the FreqUpdated count, which uniquely identifies the node).
+// HTable maps partitioning keys to their entries. It is the only per-batch
+// structure of Algorithm 1: the published counts live in the entries, and
+// Finalize sorts the entries once at the heartbeat.
 //
 // The table runs in one of two modes:
 //

@@ -22,21 +22,25 @@ import (
 // descending order — so the number of worker goroutines executing the
 // shards changes wall-clock time only, never the partitioner's input.
 // Relative to the single accumulator, the ordering handed to the
-// partitioner is exactly sorted rather than CountTree-quasi-sorted (each
-// shard's tree sees only its own keys, so the global quasi-order is not
-// reconstructible); counts and tuple lists are identical.
+// partitioner is exactly sorted rather than quasi-sorted (each shard
+// publishes counts for its own keys only, so the global quasi-order is
+// not reconstructible); counts and tuple lists are identical.
 //
 // With a shared intern dictionary (NewShardedDict) every shard runs the
-// zero-allocation hot path; shards intern concurrently into the one
-// dictionary, and the merged output slice is reused across batches (valid
-// until the next Reset), matching the single accumulator's dict-mode
-// contract.
+// zero-allocation hot path. Keys are interned in the sequential routing
+// scan, in arrival order, so intern IDs — and with them checkpoint bytes,
+// wire dictionary deltas and columnar IDs — are the same at any worker
+// count and match the single accumulator's. The merged output slice is
+// reused across batches (valid until the next Reset), matching the single
+// accumulator's dict-mode contract.
 type ShardedAccumulator struct {
 	shards []*Accumulator
 	dict   *intern.Dict
-	// route[s] collects the tuple indices of shard s for the current batch;
-	// reused across batches to avoid reallocation.
-	route [][]tuple.Tuple
+	// route[s] collects the tuples of shard s for the current batch, and
+	// routeIDs[s] their intern IDs in dictionary mode; reused across
+	// batches to avoid reallocation.
+	route    [][]tuple.Tuple
+	routeIDs [][]uint32
 	// routeCols[s] is route[s]'s columnar twin for AddAllColumns.
 	routeCols []tuple.ColumnBatch
 	// bucket caches each intern ID's shard (hashutil.Bucket of the key),
@@ -76,6 +80,7 @@ func newSharded(cfg AccumulatorConfig, dict *intern.Dict, shards int, start, end
 		shards:    make([]*Accumulator, shards),
 		dict:      dict,
 		route:     make([][]tuple.Tuple, shards),
+		routeIDs:  make([][]uint32, shards),
 		routeCols: make([]tuple.ColumnBatch, shards),
 		errs:      make([]error, shards),
 		keys:      make([][]SortedKey, shards),
@@ -125,38 +130,66 @@ func (sa *ShardedAccumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time
 	return nil
 }
 
-// AddAll ingests one batch interval's tuples: a single routing scan splits
-// them by key hash, then each shard accumulates its slice on the pool (or
-// inline with a nil pool). Arrival time equals the tuple timestamp, as in
-// the engine's simulated stream.
+// AddAll ingests one batch interval's tuples: a single sequential routing
+// scan checks each timestamp, interns the key (dictionary mode) and splits
+// the tuples by key hash, then each shard accumulates its slice on the
+// pool (or inline with a nil pool). Arrival time equals the tuple
+// timestamp, as in the engine's simulated stream.
 func (sa *ShardedAccumulator) AddAll(tuples []tuple.Tuple, pool *cluster.WorkerPool) error {
 	n := len(sa.shards)
 	for s := range sa.route {
 		sa.route[s] = sa.route[s][:0]
+		sa.routeIDs[s] = sa.routeIDs[s][:0]
 	}
+	first := sa.shards[0]
 	for i := range tuples {
-		s := hashutil.Bucket(tuples[i].Key, n)
-		sa.route[s] = append(sa.route[s], tuples[i])
-	}
-	errs := sa.errs
-	for s := range errs {
-		errs[s] = nil
+		t := &tuples[i]
+		if err := first.checkTS(t.TS); err != nil {
+			return err
+		}
+		if sa.dict == nil {
+			s := hashutil.Bucket(t.Key, n)
+			sa.route[s] = append(sa.route[s], *t)
+			continue
+		}
+		id := sa.dict.Intern(t.Key)
+		s := sa.shardOf(id)
+		sa.route[s] = append(sa.route[s], *t)
+		sa.routeIDs[s] = append(sa.routeIDs[s], id)
 	}
 	pool.Do(n, func(s int) {
 		acc := sa.shards[s]
-		for _, t := range sa.route[s] {
-			if err := acc.Add(t, t.TS); err != nil {
-				errs[s] = err
-				return
+		if sa.dict == nil {
+			for _, t := range sa.route[s] {
+				acc.addKey(t, t.TS)
 			}
+			return
+		}
+		ids := sa.routeIDs[s]
+		for j, t := range sa.route[s] {
+			acc.addID(ids[j], t, t.TS)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// shardOf returns the shard of intern ID id — hashutil.Bucket of its key,
+// the same assignment the map-mode routing uses — computing it once per
+// key and caching it for the accumulator's lifetime.
+func (sa *ShardedAccumulator) shardOf(id uint32) int32 {
+	for int(id) >= len(sa.bucket) {
+		grown := make([]int32, 2*len(sa.bucket)+64)
+		for j := copy(grown, sa.bucket); j < len(grown); j++ {
+			grown[j] = -1
+		}
+		sa.bucket = grown
+	}
+	s := sa.bucket[id]
+	if s < 0 {
+		s = int32(hashutil.Bucket(sa.dict.Resolve(id), len(sa.shards)))
+		sa.bucket[id] = s
+	}
+	return s
 }
 
 // AddAllColumns is AddAll for a ColumnBatch: the routing scan walks the
@@ -175,20 +208,8 @@ func (sa *ShardedAccumulator) AddAllColumns(cb *tuple.ColumnBatch, pool *cluster
 		sa.routeCols[s].Reset()
 		sa.routeCols[s].Start, sa.routeCols[s].End = cb.Start, cb.End
 	}
-	for i := range cb.IDs {
-		id := cb.IDs[i]
-		for int(id) >= len(sa.bucket) {
-			grown := make([]int32, 2*len(sa.bucket)+64)
-			for j := copy(grown, sa.bucket); j < len(grown); j++ {
-				grown[j] = -1
-			}
-			sa.bucket = grown
-		}
-		s := sa.bucket[id]
-		if s < 0 {
-			s = int32(hashutil.Bucket(sa.dict.Resolve(id), n))
-			sa.bucket[id] = s
-		}
+	for i, id := range cb.IDs {
+		s := sa.shardOf(id)
 		sa.routeCols[s].Append(id, cb.TS[i], cb.Vals[i], cb.W[i])
 	}
 	errs := sa.errs
