@@ -79,8 +79,9 @@ func (p *Producer) Close() { p.r.Close() }
 // ProcessReceived drains the receiver's rings (blocking until every
 // producer has closed) directly into a pooled column batch and runs the
 // full micro-batch lifecycle over it — the columnar twin of
-// ProcessBatch. Tuples must be stamped within [Now, Now+BatchInterval).
-// The receiver must be Reset before the next interval's producers start.
+// ProcessBatch. Tuples must be stamped within [Now, Now+BatchInterval)
+// and carry weights that fit in an int32. The receiver must be Reset
+// before the next interval's producers start.
 func (s *Stream) ProcessReceived(r *Receiver) (BatchReport, error) {
 	return s.ProcessReceivedContext(context.Background(), r)
 }
@@ -94,36 +95,18 @@ func (s *Stream) ProcessReceivedContext(ctx context.Context, r *Receiver) (Batch
 	cb := tuple.GetColumnBatch()
 	defer tuple.PutColumnBatch(cb)
 	dict := s.eng.Dict()
+	var werr error
 	r.m.Drain(func(t tuple.Tuple) {
+		// Keep draining after a bad weight so no producer stays blocked;
+		// the batch then fails as a whole.
+		if werr == nil {
+			werr = checkWeight(&t)
+		}
 		cb.Append(dict.Intern(t.Key), t.TS, t.Val, int32(t.Weight))
 	})
-	rep, err := s.eng.StepColumnsContext(ctx, cb, start, end)
-	if err != nil {
-		return BatchReport{}, err
+	if werr != nil {
+		return BatchReport{}, werr
 	}
-	br := newBatchReport(s.scheme.Name, rep)
-	if err := s.observeElastic(br); err != nil {
-		return br, err
-	}
-	return br, nil
-}
-
-// ProcessBatchColumnar ingests one batch interval of rows through the
-// columnar hot path: the rows are transposed once at the boundary and
-// the statistics, sorting, and partitioning folds run over dense
-// columns. Reports and answers are bit-identical to ProcessBatch.
-func (s *Stream) ProcessBatchColumnar(tuples []Tuple) (BatchReport, error) {
-	return s.ProcessBatchColumnarContext(context.Background(), tuples)
-}
-
-// ProcessBatchColumnarContext is ProcessBatchColumnar with cooperative
-// cancellation.
-func (s *Stream) ProcessBatchColumnarContext(ctx context.Context, tuples []Tuple) (BatchReport, error) {
-	start := s.eng.Now()
-	end := start + s.eng.Config().BatchInterval
-	cb := tuple.GetColumnBatch()
-	defer tuple.PutColumnBatch(cb)
-	cb.AppendRows(tuples, s.eng.Dict().Intern)
 	rep, err := s.eng.StepColumnsContext(ctx, cb, start, end)
 	if err != nil {
 		return BatchReport{}, err

@@ -1,6 +1,7 @@
 package prompt_test
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"prompt"
 	"prompt/internal/tuple"
-	"prompt/internal/workload"
 )
 
 // scrubWall zeroes the wall-clock-measured report fields (and everything
@@ -36,77 +36,119 @@ func columnarConfig() prompt.Config {
 	}
 }
 
-// TestColumnarConfigEquivalence proves Config.Columnar is behaviourally
-// invisible: the same source through row mode and columnar mode yields
-// identical reports and window answers, for Prompt and a per-tuple
-// baseline scheme.
-func TestColumnarConfigEquivalence(t *testing.T) {
+// TestProcessReceivedMatchesProcessBatch checks the two public ingest
+// layouts against each other on the same batches: rows through
+// ProcessBatch, which the accumulate stage transposes for Algorithm 1,
+// and columns drained from a single-producer Receiver, which keeps
+// arrival order. Reports and windows must match bit for bit (modulo
+// measured wall time), for Prompt and a per-tuple baseline scheme.
+func TestProcessReceivedMatchesProcessBatch(t *testing.T) {
 	for _, scheme := range []prompt.Scheme{prompt.SchemePrompt, prompt.SchemeHash} {
-		run := func(columnar bool) ([]prompt.BatchReport, map[string]float64) {
+		mkStream := func() *prompt.Stream {
 			cfg := columnarConfig()
 			cfg.Scheme = scheme
-			cfg.Columnar = columnar
 			st, err := prompt.New(cfg, prompt.WordCount(5*time.Second, time.Second))
 			if err != nil {
 				t.Fatal(err)
 			}
-			src := zipfSource(t, 42)
-			reps, err := st.Run(func(s, e prompt.Time) ([]prompt.Tuple, error) { return src.Slice(s, e) }, 4)
+			return st
+		}
+		rowSt, colSt := mkStream(), mkStream()
+		rowSrc, colSrc := zipfSource(t, 7), zipfSource(t, 7)
+		recv := prompt.NewReceiver(1, 64)
+		for i := 0; i < 4; i++ {
+			start, end := rowSt.Now(), rowSt.Now()+tuple.Second
+			tuples, err := rowSrc.Slice(start, end)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return reps, st.Window()
+			rowRep, err := rowSt.ProcessBatch(tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples2, err := colSrc.Slice(start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				recv.Reset()
+			}
+			go func() {
+				prod := recv.Producer(0)
+				defer prod.Close()
+				for _, tp := range tuples2 {
+					prod.Push(tp)
+				}
+			}()
+			colRep, err := colSt.ProcessReceived(recv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := scrubWall([]prompt.BatchReport{colRep})
+			want := scrubWall([]prompt.BatchReport{rowRep})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("scheme %s batch %d: received report diverges from ProcessBatch\n got: %+v\nwant: %+v",
+					scheme, i, got[0], want[0])
+			}
 		}
-		rowReps, rowWin := run(false)
-		colReps, colWin := run(true)
-		rowReps, colReps = scrubWall(rowReps), scrubWall(colReps)
-		if !reflect.DeepEqual(colReps, rowReps) {
-			t.Errorf("scheme %s: columnar reports diverge from row mode", scheme)
-		}
-		if !reflect.DeepEqual(colWin, rowWin) {
-			t.Errorf("scheme %s: columnar window diverges from row mode", scheme)
+		if !reflect.DeepEqual(colSt.Window(), rowSt.Window()) {
+			t.Errorf("scheme %s: received window diverges from ProcessBatch", scheme)
 		}
 	}
 }
 
-// TestProcessBatchColumnarEquivalence checks the explicit columnar entry
-// point against ProcessBatch on the same batches.
-func TestProcessBatchColumnarEquivalence(t *testing.T) {
-	mkStream := func() (*prompt.Stream, *workload.Source) {
+// TestIngestRejectsOutOfRangeWeight: the engine stores tuple weights as
+// int32, so every public ingest path must reject a weight outside that
+// range instead of truncating it (1<<32+1 used to fold as weight 1), and
+// the failed batch must commit nothing.
+func TestIngestRejectsOutOfRangeWeight(t *testing.T) {
+	for _, w := range []int{1<<32 + 1, math.MinInt32 - 1} {
+		batch := []prompt.Tuple{
+			prompt.NewTuple(0, "a", 1),
+			{TS: 1, Key: "b", Val: 1, Weight: w},
+		}
+		for _, scheme := range []prompt.Scheme{prompt.SchemePrompt, prompt.SchemeHash} {
+			for _, depth := range []int{1, 2} {
+				mk := func() *prompt.Stream {
+					cfg := columnarConfig()
+					cfg.Scheme, cfg.PipelineDepth = scheme, depth
+					st, err := prompt.New(cfg, prompt.WordCount(5*time.Second, time.Second))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				}
+				st := mk()
+				if _, err := st.ProcessBatch(batch); err == nil {
+					t.Errorf("weight %d scheme %s: ProcessBatch accepted it", w, scheme)
+				}
+				if _, err := mk().Run(prompt.FixedBatches(batch), 1); err == nil {
+					t.Errorf("weight %d scheme %s depth %d: Run accepted it", w, scheme, depth)
+				}
+				if st.Now() != 0 || len(st.Reports()) != 0 {
+					t.Errorf("weight %d scheme %s: rejected batch advanced the stream", w, scheme)
+				}
+			}
+		}
+
 		st, err := prompt.New(columnarConfig(), prompt.WordCount(5*time.Second, time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, zipfSource(t, 7)
-	}
-	rowSt, rowSrc := mkStream()
-	colSt, colSrc := mkStream()
-	for i := 0; i < 4; i++ {
-		start, end := rowSt.Now(), rowSt.Now()+tuple.Second
-		tuples, err := rowSrc.Slice(start, end)
-		if err != nil {
-			t.Fatal(err)
+		recv := prompt.NewReceiver(1, 64)
+		go func() {
+			prod := recv.Producer(0)
+			defer prod.Close()
+			for _, tp := range batch {
+				prod.Push(tp)
+			}
+		}()
+		if _, err := st.ProcessReceived(recv); err == nil {
+			t.Errorf("weight %d: ProcessReceived accepted it", w)
 		}
-		rowRep, err := rowSt.ProcessBatch(tuples)
-		if err != nil {
-			t.Fatal(err)
+		if st.Now() != 0 || len(st.Reports()) != 0 {
+			t.Errorf("weight %d: rejected received batch advanced the stream", w)
 		}
-		tuples2, err := colSrc.Slice(start, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		colRep, err := colSt.ProcessBatchColumnar(tuples2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := scrubWall([]prompt.BatchReport{colRep})
-		want := scrubWall([]prompt.BatchReport{rowRep})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch %d: columnar report diverges from row mode\n got: %+v\nwant: %+v", i, got[0], want[0])
-		}
-	}
-	if !reflect.DeepEqual(colSt.Window(), rowSt.Window()) {
-		t.Error("columnar window diverges from row mode")
 	}
 }
 

@@ -47,8 +47,18 @@
 // over one shared batching phase; New and NewMulti remain as thin
 // Config-struct wrappers for callers that load configuration wholesale.
 // After construction, Reconfigure applies the runtime-changeable subset
-// (WithParallelism, WithCores, WithWorkers, WithObserver) at the next
-// batch boundary and rejects everything else with ErrBadConfig.
+// (WithParallelism, WithCores, WithWorkers, WithObserver,
+// WithPipelineDepth) at the next batch boundary and rejects everything
+// else with ErrBadConfig.
+//
+// # Ingest
+//
+// ProcessBatch and Run take rows. Under Algorithm 1 the engine transposes
+// each batch into a struct-of-arrays column batch, interning keys in
+// arrival order, and folds the columns; there is no layout knob. A
+// Receiver feeds columns directly from concurrent producers through
+// ProcessReceived, with bit-identical answers. Tuple weights must fit in
+// an int32: every ingest method rejects a batch holding a larger one.
 //
 // Scheme is a typed string with constants for every accepted technique
 // (SchemePrompt, SchemeHash, …); ParseScheme validates runtime strings
@@ -69,8 +79,8 @@
 // # Runtime parallelism
 //
 // By default the whole batch lifecycle runs on the calling goroutine, like
-// the classic Spark driver. Config.Workers (or WithWorkers, or
-// SetWorkers mid-run) executes the pipeline on a shared worker pool
+// the classic Spark driver. Config.Workers (or WithWorkers, also through
+// Reconfigure mid-run) executes the pipeline on a shared worker pool
 // instead: Map tasks, per-bucket Reduce folds, per-query jobs, window
 // merges, and — with Config.StatsShards > 1 — the Algorithm 1 statistics
 // pass all fan out across real goroutines. Results merge

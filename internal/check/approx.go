@@ -18,16 +18,17 @@ func approxSpec(sc Scenario) approx.Spec {
 	return approx.Spec{Kind: approx.Kind(sc.Approx)}
 }
 
-// approxArm runs the scenario's scheme with the approximate tier enabled
-// and returns the encoded summary after every batch plus the finished
-// engine (for final answers and the exact window).
-func approxArm(cfg engine.Config, sc Scenario, batches [][]tuple.Tuple) ([][]byte, *engine.Engine, error) {
+// approxArm runs the scenario's scheme with the approximate tier enabled,
+// stepping batches through the chosen ingest API, and returns the encoded
+// summary after every batch plus the finished engine (for final answers
+// and the exact window).
+func approxArm(cfg engine.Config, sc Scenario, columnar bool, batches [][]tuple.Tuple) ([][]byte, *engine.Engine, error) {
 	eng, err := engine.New(cfg, query(sc))
 	if err != nil {
 		return nil, nil, err
 	}
 	encodes := make([][]byte, 0, len(batches))
-	err = stepAll(eng, batches, func(int) error {
+	err = stepAll(eng, columnar, batches, func(int) error {
 		encodes = append(encodes, eng.ApproxState().Encode())
 		return nil
 	})
@@ -36,7 +37,7 @@ func approxArm(cfg engine.Config, sc Scenario, batches [][]tuple.Tuple) ([][]byt
 
 // checkApproxInvariant is invariant 10: the approximate summary folded at
 // every batch commit must be bit-identical — per batch, at the codec
-// level — across worker counts, ingest layouts, and a mid-run
+// level — across worker counts, ingest APIs, and a mid-run
 // checkpoint/restore, and the final answers must sit inside the
 // operator's advertised error bounds of the exact window answer from the
 // very same run.
@@ -48,13 +49,12 @@ func checkApproxInvariant(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	config := func(workers int, columnar bool) engine.Config {
+	config := func(workers int) engine.Config {
 		cfg := scheme.Apply(baseConfig(sc, workers))
-		cfg.ColumnarIngest = columnar
 		cfg.Approx = approxSpec(sc)
 		return cfg
 	}
-	refEnc, refEng, err := approxArm(config(0, sc.Columnar), sc, batches)
+	refEnc, refEng, err := approxArm(config(0), sc, sc.Columnar, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("approx reference failed: %v", err)}
 	}
@@ -71,19 +71,19 @@ func checkApproxInvariant(sc Scenario, batches [][]tuple.Tuple) []string {
 	}
 
 	if sc.Workers != 0 {
-		enc, _, err := approxArm(config(sc.Workers, sc.Columnar), sc, batches)
+		enc, _, err := approxArm(config(sc.Workers), sc, sc.Columnar, batches)
 		if err != nil {
 			return []string{fmt.Sprintf("approx workers=%d run failed: %v", sc.Workers, err)}
 		}
 		diff(fmt.Sprintf("workers=%d", sc.Workers), enc)
 	}
-	enc, _, err := approxArm(config(0, !sc.Columnar), sc, batches)
+	enc, _, err := approxArm(config(0), sc, !sc.Columnar, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("approx columnar=%v run failed: %v", !sc.Columnar, err)}
 	}
 	diff(fmt.Sprintf("columnar=%v", !sc.Columnar), enc)
 
-	violations = append(violations, approxCheckpointArm(sc, config(0, sc.Columnar), batches, refEnc)...)
+	violations = append(violations, approxCheckpointArm(sc, config(0), batches, refEnc)...)
 	violations = append(violations, approxBounds(sc, refEng)...)
 	return violations
 }
@@ -96,7 +96,7 @@ func approxCheckpointArm(sc Scenario, cfg engine.Config, batches [][]tuple.Tuple
 	if err != nil {
 		return []string{fmt.Sprintf("approx checkpoint engine: %v", err)}
 	}
-	if err := stepAll(eng, batches[:sc.CheckpointAt], nil); err != nil {
+	if err := stepAll(eng, sc.Columnar, batches[:sc.CheckpointAt], nil); err != nil {
 		return []string{fmt.Sprintf("approx checkpoint arm failed: %v", err)}
 	}
 	var buf bytes.Buffer
@@ -114,8 +114,7 @@ func approxCheckpointArm(sc Scenario, cfg engine.Config, batches [][]tuple.Tuple
 	}
 	var violations []string
 	for i := sc.CheckpointAt; i < len(batches); i++ {
-		start := tuple.Time(i) * tuple.Second
-		if _, err := resumed.Step(batches[i], start, start+tuple.Second); err != nil {
+		if err := stepBatch(resumed, sc.Columnar, i, batches[i]); err != nil {
 			return append(violations, fmt.Sprintf("approx restored run failed at batch %d: %v", i, err))
 		}
 		if img := resumed.ApproxState().Encode(); !bytes.Equal(img, refEnc[i]) {

@@ -132,7 +132,6 @@ var configCoverage = map[string]struct{ drawnBy, neutral string }{
 	"Partitioner":          {drawnBy: "Scheme"},
 	"Assigner":             {drawnBy: "Scheme"},
 	"Accum":                {drawnBy: "Scheme"},
-	"ColumnarIngest":       {drawnBy: "Columnar"},
 	"Faults":               {drawnBy: "FaultEvents"},
 	"Approx":               {drawnBy: "Approx"},
 	"BatchInterval":        {neutral: "fixed at 1s: the materialized batches and the window slide are defined on it"},

@@ -62,9 +62,9 @@ func (r replayStream) Reset() {}
 // batches must be a wall-clock-only optimization. At PipelineDepth 2 and
 // 3 — in-process and with the data-plane folds scattered over loopback
 // and pipe shard clusters — every BatchReport and the final window
-// answer must be bit-identical to the classic depth-1 run, on whichever
-// ingest path (row or columnar driver) the scenario selected. The clock
-// is frozen by Run, so "bit-identical" includes every timing field.
+// answer must be bit-identical to the classic depth-1 run stepped through
+// the scenario's ingest API (the pipelined driver itself takes rows). The
+// clock is frozen by Run, so "bit-identical" includes every timing field.
 func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	scheme, err := core.ByName(sc.Scheme)
 	if err != nil {
@@ -106,13 +106,7 @@ func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 					defer coord.Close()
 					eng.SetExecutor(coord)
 				}
-				src := replayStream{batches: batches}
-				var reports []engine.BatchReport
-				if sc.Columnar {
-					reports, err = eng.RunBatchesColumnar(src, len(batches))
-				} else {
-					reports, err = eng.RunBatches(src, len(batches))
-				}
+				reports, err := eng.RunBatches(replayStream{batches: batches}, len(batches))
 				if err != nil {
 					return []string{fmt.Sprintf("pipeline %s depth-%d run failed: %v", backend, depth, err)}
 				}
@@ -198,7 +192,7 @@ func checkMigrationEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 				eng.SetExecutor(coord)
 			}
 			var violations []string
-			err = stepAll(eng, batches, func(i int) error {
+			err = stepAll(eng, sc.Columnar, batches, func(i int) error {
 				if snap := eng.WindowSnapshot(); !reflect.DeepEqual(snap, refSnaps[i]) {
 					violations = append(violations, fmt.Sprintf(
 						"invariant 8 (migration equivalence): scheme %s batch %d window answer diverged under rescaling (%s)",
@@ -229,10 +223,11 @@ func checkMigrationEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	return nil
 }
 
-// checkColumnarEquivalence is invariant 7: flipping the ingest layout —
-// row ↔ columnar struct-of-arrays — must not change a single bit of any
-// report or window answer. The scenario's own mode already drove every
-// other invariant, so this run exercises the opposite path over the same
+// checkColumnarEquivalence is invariant 7: flipping the ingest API — Step
+// over rows, which the accumulate stage transposes, ↔ StepColumns over a
+// caller-built ColumnBatch — must not change a single bit of any report
+// or window answer. The scenario's own API already drove every other
+// invariant, so this run exercises the opposite one over the same
 // batches and compares bit for bit (the clock is frozen by Run).
 func checkColumnarEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	scheme, err := core.ByName(sc.Scheme)
@@ -322,9 +317,7 @@ func query(sc Scenario) engine.Query {
 }
 
 // baseConfig is the shared engine configuration; scheme and faults are
-// layered on per invariant. The scenario's Columnar knob applies to
-// every invariant's engine, so the whole harness stresses whichever
-// ingest path the scenario selected.
+// layered on per invariant.
 func baseConfig(sc Scenario, workers int) engine.Config {
 	return engine.Config{
 		BatchInterval:   tuple.Second,
@@ -334,16 +327,14 @@ func baseConfig(sc Scenario, workers int) engine.Config {
 		Workers:         workers,
 		StatsShards:     sc.StatsShards,
 		ValidateBatches: true,
-		ColumnarIngest:  sc.Columnar,
 	}
 }
 
 // stepAll drives the engine over the materialized batches, calling after
 // once the batch committed.
-func stepAll(eng *engine.Engine, batches [][]tuple.Tuple, after func(i int) error) error {
+func stepAll(eng *engine.Engine, columnar bool, batches [][]tuple.Tuple, after func(i int) error) error {
 	for i, ts := range batches {
-		start := tuple.Time(i) * tuple.Second
-		if _, err := eng.Step(ts, start, start+tuple.Second); err != nil {
+		if err := stepBatch(eng, columnar, i, ts); err != nil {
 			return fmt.Errorf("batch %d: %w", i, err)
 		}
 		if after != nil {
@@ -353,6 +344,22 @@ func stepAll(eng *engine.Engine, batches [][]tuple.Tuple, after func(i int) erro
 		}
 	}
 	return nil
+}
+
+// stepBatch runs materialized batch i through the chosen ingest API:
+// Step over the rows, or the rows transposed into a ColumnBatch against
+// the engine's dictionary and run through StepColumns.
+func stepBatch(eng *engine.Engine, columnar bool, i int, ts []tuple.Tuple) error {
+	start := tuple.Time(i) * tuple.Second
+	if !columnar {
+		_, err := eng.Step(ts, start, start+tuple.Second)
+		return err
+	}
+	cb := tuple.GetColumnBatch()
+	defer tuple.PutColumnBatch(cb)
+	cb.AppendRows(ts, eng.Dict().Intern)
+	_, err := eng.StepColumns(cb, start, start+tuple.Second)
+	return err
 }
 
 // snapshotsOf runs one scheme over the batches and returns the window
@@ -365,7 +372,7 @@ func snapshotsOf(sc Scenario, scheme core.Scheme, workers int, batches [][]tuple
 	}
 	var violations []string
 	snaps := make([]map[string]float64, 0, len(batches))
-	err = stepAll(eng, batches, func(i int) error {
+	err = stepAll(eng, sc.Columnar, batches, func(i int) error {
 		snap := eng.WindowSnapshot()
 		if rec := eng.Window().Recompute(); !reflect.DeepEqual(snap, rec) {
 			violations = append(violations, fmt.Sprintf(
@@ -453,7 +460,7 @@ func checkFaultEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 		return []string{fmt.Sprintf("faulted engine: %v", err)}
 	}
 	var violations []string
-	err = stepAll(eng, batches, func(i int) error {
+	err = stepAll(eng, sc.Columnar, batches, func(i int) error {
 		if snap := eng.WindowSnapshot(); !reflect.DeepEqual(snap, cleanSnaps[i]) {
 			violations = append(violations, fmt.Sprintf(
 				"invariant 4 (faulted == fault-free): scheme %s batch %d window answer diverged under plan %q",
@@ -491,7 +498,7 @@ func checkPermutationInvariance(sc Scenario, batches [][]tuple.Tuple) []string {
 		return []string{fmt.Sprintf("permuted engine: %v", err)}
 	}
 	var violations []string
-	err = stepAll(eng, shuffled, func(i int) error {
+	err = stepAll(eng, sc.Columnar, shuffled, func(i int) error {
 		if snap := eng.WindowSnapshot(); !reflect.DeepEqual(snap, refSnaps[i]) {
 			violations = append(violations, fmt.Sprintf(
 				"invariant 5 (permutation invariance): scheme %s batch %d window answer changed under tuple shuffle",
@@ -549,7 +556,7 @@ func checkTransportEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 			defer coord.Close()
 			eng.SetExecutor(coord)
 			var violations []string
-			err = stepAll(eng, batches, func(i int) error {
+			err = stepAll(eng, sc.Columnar, batches, func(i int) error {
 				if snap := eng.WindowSnapshot(); !reflect.DeepEqual(snap, refSnaps[i]) {
 					violations = append(violations, fmt.Sprintf(
 						"invariant 6 (transport equivalence): scheme %s batch %d window answer diverged over %s (%d shards)",

@@ -88,10 +88,11 @@ type Scenario struct {
 	// Throttle attaches an AIMD controller whose factor scales the
 	// offered rate, observed after every batch.
 	Throttle bool
-	// Columnar routes row ingestion through the columnar hot path
-	// (struct-of-arrays transpose at the batch boundary). Every invariant
-	// runs in the scenario's mode, and invariant 7 additionally checks
-	// the flipped mode produces bit-identical reports.
+	// Columnar selects the ingest API the harness steps engines through:
+	// each batch transposed by the harness into a ColumnBatch and run
+	// through StepColumns, instead of Step over the rows. Every invariant
+	// stepping batches uses the scenario's API, and invariant 7
+	// additionally checks the flipped API produces bit-identical reports.
 	Columnar bool
 	// ScaleEvents scripts live rescales for invariant 8: after batch
 	// AtBatch commits, the run asks for Owners key-range owners and the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prompt/internal/fault"
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 )
@@ -14,9 +15,8 @@ import (
 type columnarMode int
 
 const (
-	rowMode        columnarMode = iota // plain Step over rows (the reference)
-	ingestMode                         // Config.ColumnarIngest transposes at the boundary
-	stepColumnsMode                    // caller-built ColumnBatch via StepColumns
+	rowMode         columnarMode = iota // Step over rows (the reference)
+	stepColumnsMode                     // caller-built ColumnBatch via StepColumns
 )
 
 // runColumnar drives n batches through the engine in the given mode and
@@ -29,7 +29,6 @@ func runColumnar(t *testing.T, gs goldenScheme, workers, n int, mode columnarMod
 	cfg.Workers = workers
 	cfg.StatsShards = gs.shards
 	cfg = gs.config(cfg)
-	cfg.ColumnarIngest = mode == ingestMode
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -60,27 +59,23 @@ func runColumnar(t *testing.T, gs goldenScheme, workers, n int, mode columnarMod
 	return eng.Reports(), eng.WindowSnapshot()
 }
 
-// TestGoldenColumnarEquivalence proves the columnar pipeline bit-identical
-// to row mode: for every scheme of the golden sweep at Workers 0 and 4,
-// both columnar entry points — boundary transposition (ColumnarIngest) and
-// caller-built columns (StepColumns) — must reproduce the row run's
-// BatchReport slice and window answer exactly.
+// TestGoldenColumnarEquivalence proves the two ingest APIs bit-identical:
+// for every scheme of the golden sweep at Workers 0 and 4, caller-built
+// columns (StepColumns) must reproduce the row run's (Step, transposed by
+// the accumulate stage under Algorithm 1) BatchReport slice and window
+// answer exactly.
 func TestGoldenColumnarEquivalence(t *testing.T) {
 	freezeClock(t)
 	const batches = 3
 	for _, gs := range goldenSchemes() {
 		for _, workers := range []int{0, 4} {
 			refReps, refWin := runColumnar(t, gs, workers, batches, rowMode, nil)
-			for mode, label := range map[columnarMode]string{ingestMode: "ingest", stepColumnsMode: "stepcolumns"} {
-				gotReps, gotWin := runColumnar(t, gs, workers, batches, mode, nil)
-				if !reflect.DeepEqual(gotReps, refReps) {
-					t.Errorf("scheme %s workers %d mode %s: columnar reports diverge from row mode",
-						gs.name, workers, label)
-				}
-				if !reflect.DeepEqual(gotWin, refWin) {
-					t.Errorf("scheme %s workers %d mode %s: columnar window diverges from row mode",
-						gs.name, workers, label)
-				}
+			gotReps, gotWin := runColumnar(t, gs, workers, batches, stepColumnsMode, nil)
+			if !reflect.DeepEqual(gotReps, refReps) {
+				t.Errorf("scheme %s workers %d: columnar reports diverge from row mode", gs.name, workers)
+			}
+			if !reflect.DeepEqual(gotWin, refWin) {
+				t.Errorf("scheme %s workers %d: columnar window diverges from row mode", gs.name, workers)
 			}
 		}
 	}
@@ -120,14 +115,12 @@ func TestGoldenColumnarFaulted(t *testing.T) {
 	gs := goldenScheme{name: "prompt", config: func(cfg Config) Config { return cfg }}
 	for _, workers := range []int{0, 4} {
 		refReps, refWin := runColumnar(t, gs, workers, 5, rowMode, withFaults)
-		for mode, label := range map[columnarMode]string{ingestMode: "ingest", stepColumnsMode: "stepcolumns"} {
-			gotReps, gotWin := runColumnar(t, gs, workers, 5, mode, withFaults)
-			if !reflect.DeepEqual(gotReps, refReps) {
-				t.Errorf("workers %d mode %s: faulted columnar reports diverge from row mode", workers, label)
-			}
-			if !reflect.DeepEqual(gotWin, refWin) {
-				t.Errorf("workers %d mode %s: faulted columnar window diverges from row mode", workers, label)
-			}
+		gotReps, gotWin := runColumnar(t, gs, workers, 5, stepColumnsMode, withFaults)
+		if !reflect.DeepEqual(gotReps, refReps) {
+			t.Errorf("workers %d: faulted columnar reports diverge from row mode", workers)
+		}
+		if !reflect.DeepEqual(gotWin, refWin) {
+			t.Errorf("workers %d: faulted columnar window diverges from row mode", workers)
 		}
 	}
 }
@@ -184,5 +177,71 @@ func TestGoldenColumnarCheckpointRestore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(restored.WindowSnapshot(), refWin) {
 		t.Error("columnar checkpoint/restore window diverges from uninterrupted row run")
+	}
+}
+
+// TestTransposeInternsInArrivalOrder pins where interned IDs come from:
+// the accumulate stage transposes row input in arrival order, so the
+// engine's dictionary must equal an independent arrival-order interning
+// of the same batches — for the single accumulator, for sharded
+// statistics on a multi-goroutine pool (repeated, since IDs assigned in
+// scheduling order would differ run to run), and for the pipelined
+// driver. IDs reach checkpoints, wire dictionary deltas and columnar
+// batches, so any other order would make them irreproducible.
+func TestTransposeInternsInArrivalOrder(t *testing.T) {
+	const batches = 4
+	want := intern.NewDict(0)
+	src := testSource(6000, 300, 9)
+	for i := 0; i < batches; i++ {
+		start := tuple.Time(i) * tuple.Second
+		tuples, err := src.Slice(start, start+tuple.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range tuples {
+			want.Intern(tp.Key)
+		}
+	}
+	run := func(shards, workers, depth int) []string {
+		cfg := testConfig()
+		cfg.StatsShards, cfg.Workers, cfg.PipelineDepth = shards, workers, depth
+		eng, err := New(cfg, WordCount(window.Sliding(10*tuple.Second, tuple.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunBatches(testSource(6000, 300, 9), batches); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Dict().Snapshot()
+	}
+	if got := run(1, 0, 1); !reflect.DeepEqual(got, want.Snapshot()) {
+		t.Fatal("single accumulator: dictionary diverges from arrival-order interning")
+	}
+	for r := 0; r < 8; r++ {
+		if got := run(3, 4, 1); !reflect.DeepEqual(got, want.Snapshot()) {
+			t.Fatalf("sharded stats run %d: dictionary diverges from arrival-order interning", r)
+		}
+	}
+	if got := run(3, 4, 2); !reflect.DeepEqual(got, want.Snapshot()) {
+		t.Fatal("pipelined sharded stats: dictionary diverges from arrival-order interning")
+	}
+
+	// A batch failing on an out-of-interval timestamp interns the keys
+	// before the bad tuple and none after it, as a row-at-a-time fold
+	// would.
+	eng, err := New(testConfig(), WordCount(window.Sliding(10*tuple.Second, tuple.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []tuple.Tuple{
+		tuple.NewTuple(0, "a", 1),
+		tuple.NewTuple(2*tuple.Second, "b", 1),
+		tuple.NewTuple(1, "c", 1),
+	}
+	if _, err := eng.Step(bad, 0, tuple.Second); err == nil {
+		t.Fatal("out-of-interval tuple accepted")
+	}
+	if got := eng.Dict().Snapshot(); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("failed batch interned %v, want [a]", got)
 	}
 }

@@ -104,7 +104,7 @@ type Config struct {
 	// on; sweeps leave it off for speed.
 	ValidateBatches bool
 	// PipelineDepth bounds how many consecutive batches may be in flight
-	// at once inside RunBatches/RunBatchesColumnar: while batch k is in
+	// at once inside RunBatches: while batch k is in
 	// its process/recover/commit stages, batch k+1 may already run
 	// accumulate and partition over its own double-buffered accumulator
 	// and column-batch state. Commits stay strictly serialized in batch
@@ -113,16 +113,6 @@ type Config struct {
 	// Workers. 0 or 1 keeps the classic fully serialized driver. Step and
 	// StepColumns always run one batch at a time regardless of depth.
 	PipelineDepth int
-	// ColumnarIngest converts row ingestion (Step, RunBatches, sealed
-	// reorder output) to the columnar hot path: tuples are transposed into
-	// a struct-of-arrays ColumnBatch at the batch boundary and the
-	// statistics fold, the sorted key list, and the column-aware
-	// partitioners run over the dense columns. Reports and results are
-	// bit-identical to row mode — the correctness harness proves it — so
-	// the switch trades one transpose pass for cache-friendly inner loops.
-	// Callers holding columns already should use StepColumns instead,
-	// which skips the transpose.
-	ColumnarIngest bool
 	// Stragglers injects deterministic task slowdowns (Figure 2's
 	// unbalanced-execution cases II-IV): zero value disables injection.
 	Stragglers StragglerModel

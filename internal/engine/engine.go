@@ -75,11 +75,12 @@ type Engine struct {
 	// is checkpointed so restored engines keep every ID stable.
 	dict *intern.Dict
 
-	// colScratch and rowScratch are the columnar path's reused transpose
-	// buffers: colScratch columnizes row ingestion under ColumnarIngest,
-	// rowScratch materializes rows from a ColumnBatch when some pipeline
+	// colScratch and rowScratch are the reused transpose buffers between
+	// the two batch representations: the accumulate stage transposes row
+	// input into colScratch for Algorithm 1's column fold, and rowScratch
+	// materializes rows from a StepColumns batch when some pipeline
 	// consumer still needs them (see needRows). Both are valid only within
-	// one Step call.
+	// one batch.
 	colScratch *tuple.ColumnBatch
 	rowScratch []tuple.Tuple
 
@@ -281,7 +282,7 @@ func (e *Engine) SetWorkers(workers int) error {
 func (e *Engine) Workers() int { return e.pool.Workers() }
 
 // SetPipelineDepth changes the inter-batch pipelining depth for
-// subsequent RunBatches/RunBatchesColumnar calls: 0 or 1 restores the
+// subsequent RunBatches calls: 0 or 1 restores the
 // fully serialized driver. Like SetWorkers it changes wall-clock time
 // only — reports, windows, and checkpoints are identical at any depth.
 func (e *Engine) SetPipelineDepth(depth int) error {
@@ -398,7 +399,7 @@ func (e *Engine) RunBatches(src workload.Stream, n int) ([]BatchReport, error) {
 // reports of the batches already committed.
 func (e *Engine) RunBatchesContext(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
 	if e.PipelineDepth() > 1 {
-		return e.runPipelined(ctx, src, n, false)
+		return e.runPipelined(ctx, src, n)
 	}
 	out := make([]BatchReport, 0, n)
 	for i := 0; i < n; i++ {
@@ -415,46 +416,6 @@ func (e *Engine) RunBatchesContext(ctx context.Context, src workload.Stream, n i
 			return out, err
 		}
 		rep, err := e.StepContext(ctx, tuples, start, end)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// RunBatchesColumnar is RunBatches on the columnar hot path: each
-// interval's rows are transposed once into a pooled ColumnBatch (keys
-// interning into the engine dictionary) and processed via StepColumns.
-// Reports are bit-identical to RunBatches; only the in-memory
-// representation — and the cache behaviour of the statistics and
-// partitioning folds — differs.
-func (e *Engine) RunBatchesColumnar(src workload.Stream, n int) ([]BatchReport, error) {
-	return e.RunBatchesColumnarContext(context.Background(), src, n)
-}
-
-// RunBatchesColumnarContext is RunBatchesColumnar with cooperative
-// cancellation, mirroring RunBatchesContext.
-func (e *Engine) RunBatchesColumnarContext(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
-	if e.PipelineDepth() > 1 {
-		return e.runPipelined(ctx, src, n, true)
-	}
-	out := make([]BatchReport, 0, n)
-	cb := tuple.GetColumnBatch()
-	defer tuple.PutColumnBatch(cb)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		start := e.now
-		end := start + e.cfg.BatchInterval
-		tuples, err := src.Slice(start, end)
-		if err != nil {
-			return out, err
-		}
-		cb.Reset()
-		cb.AppendRows(tuples, e.dict.Intern)
-		rep, err := e.StepColumnsContext(ctx, cb, start, end)
 		if err != nil {
 			return out, err
 		}
@@ -503,8 +464,8 @@ func (e *Engine) StepColumnsContext(ctx context.Context, cb *tuple.ColumnBatch, 
 	return e.step(ctx, nil, cb, start, end)
 }
 
-// needRows reports whether the pipeline still touches row tuples on the
-// columnar path: the fault store replicates rows, post-sort and batch
+// needRows reports whether the pipeline still touches row tuples for a
+// StepColumns batch: the fault store replicates rows, post-sort and batch
 // validation walk Batch.Tuples, and partitioners without column support
 // consume rows directly. When none of these apply the batch flows through
 // as pure columns.
@@ -516,9 +477,10 @@ func (e *Engine) needRows() bool {
 }
 
 // step is the shared batch core behind StepContext and
-// StepColumnsContext: exactly one of tuples/cb describes the input (under
-// ColumnarIngest row input is transposed here, and a column batch grows a
-// row view only if some pipeline consumer needs one).
+// StepColumnsContext: exactly one of tuples/cb describes the input (row
+// input is transposed by the accumulate stage when Algorithm 1 runs, and
+// a column batch grows a row view only if some pipeline consumer needs
+// one).
 func (e *Engine) step(ctx context.Context, tuples []tuple.Tuple, cb *tuple.ColumnBatch, start, end tuple.Time) (rep BatchReport, err error) {
 	if end <= start {
 		return BatchReport{}, fmt.Errorf("engine: empty batch interval [%v,%v)", start, end)
@@ -540,19 +502,9 @@ func (e *Engine) step(ctx context.Context, tuples []tuple.Tuple, cb *tuple.Colum
 			rep, err = BatchReport{}, fmt.Errorf("engine: batch %d: %w", e.batchIdx, tp)
 		}
 	}()
-	if cb == nil && e.cfg.ColumnarIngest && e.cfg.Accum == FrequencyAware {
-		// Transpose row input at the batch boundary; the rows stay
-		// attached for the consumers that still want them.
-		if e.colScratch == nil {
-			e.colScratch = &tuple.ColumnBatch{}
-		}
-		cb = e.colScratch
-		cb.Reset()
-		cb.AppendRows(tuples, e.dict.Intern)
-	}
 	if cb != nil {
 		cb.Start, cb.End = start, end
-		if tuples == nil && e.needRows() {
+		if e.needRows() {
 			e.rowScratch = cb.AppendRowsTo(e.rowScratch[:0], e.dict.Resolve)
 			tuples = e.rowScratch
 		}
@@ -843,35 +795,23 @@ func (e *Engine) postSort(b *tuple.Batch) []stats.SortedKey {
 	return e.post.Sort(b)
 }
 
-// accumulate routes the batch's tuples through Algorithm 1, creating or
-// resetting the accumulator with estimates learned from the previous
-// batch. With StatsShards > 1 the tuples route by key hash to per-shard
-// accumulators running concurrently on the worker pool; otherwise a
-// single accumulator is fed on the driver goroutine.
-func (e *Engine) accumulate(batch *tuple.Batch) error {
-	if e.cfg.StatsShards > 1 {
-		if err := e.ensureSharded(batch.Start, batch.End); err != nil {
+// accumulate runs Algorithm 1 over the batch, creating or resetting the
+// accumulator with estimates learned from the previous batch. With
+// StatsShards > 1 the rows route by key hash to per-shard accumulators
+// running on the worker pool; otherwise one accumulator folds them on the
+// driver goroutine. Either way the fold is the column fold: row input is
+// first transposed into the engine's column scratch — the only place rows
+// become columns — and stays attached for the consumers that still read
+// rows.
+func (e *Engine) accumulate(ctx *BatchContext) error {
+	if ctx.Cols == nil {
+		cb, err := e.transpose(ctx.Batch)
+		if err != nil {
 			return err
 		}
-		return e.shacc.AddAll(batch.Tuples, e.pool)
+		ctx.Cols = cb
 	}
-	if err := e.ensureAccumulator(batch.Start, batch.End); err != nil {
-		return err
-	}
-	for i := range batch.Tuples {
-		// Arrival time equals the tuple timestamp in the simulated stream.
-		if err := e.acc.Add(batch.Tuples[i], batch.Tuples[i].TS); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// accumulateColumns is accumulate over the columnar view: the contiguous
-// ID column drives the frequency fold directly, with no per-row string
-// hashing. The fold's per-arrival decisions are shared with the row path,
-// so the resulting statistics are bit-identical.
-func (e *Engine) accumulateColumns(cb *tuple.ColumnBatch) error {
+	cb := ctx.Cols
 	if e.cfg.StatsShards > 1 {
 		if err := e.ensureSharded(cb.Start, cb.End); err != nil {
 			return err
@@ -882,6 +822,28 @@ func (e *Engine) accumulateColumns(cb *tuple.ColumnBatch) error {
 		return err
 	}
 	return e.acc.AddColumns(cb)
+}
+
+// transpose writes the batch's rows into the reused column scratch,
+// interning keys in arrival order, so a key's ID does not depend on the
+// worker count, the shard count or the ingest API. A timestamp outside
+// the batch interval fails the batch before its key is interned.
+func (e *Engine) transpose(b *tuple.Batch) (*tuple.ColumnBatch, error) {
+	if e.colScratch == nil {
+		e.colScratch = &tuple.ColumnBatch{}
+	}
+	cb := e.colScratch
+	cb.Reset()
+	cb.Start, cb.End = b.Start, b.End
+	cb.Grow(len(b.Tuples))
+	for i := range b.Tuples {
+		t := &b.Tuples[i]
+		if t.TS < b.Start || t.TS >= b.End {
+			return nil, fmt.Errorf("engine: tuple ts %v outside batch interval [%v,%v)", t.TS, b.Start, b.End)
+		}
+		cb.Append(e.dict.Intern(t.Key), t.TS, t.Val, int32(t.Weight))
+	}
+	return cb, nil
 }
 
 // ensureSharded creates or resets the sharded accumulator for the batch

@@ -137,7 +137,9 @@ func (e *Engine) observeBatchEnd(obs Observer, ctx *BatchContext) {
 // --- Accumulate (Algorithm 1) -------------------------------------------
 
 // accumulateStage feeds the batch's tuples through the statistics
-// accumulator while the batch buffers. In post-sort mode it is a no-op:
+// accumulator while the batch buffers, transposing row input to columns
+// first (so this stage's time includes key interning). In post-sort mode
+// it is a no-op and row input is never transposed:
 // the baseline buffers blindly and pays its sorting cost at the release
 // point, inside the partition stage's measured window.
 type accumulateStage struct{}
@@ -147,10 +149,7 @@ func (accumulateStage) Name() StageName { return StageAccumulate }
 func (accumulateStage) Run(e *Engine, ctx *BatchContext) error {
 	switch e.cfg.Accum {
 	case FrequencyAware:
-		if ctx.Cols != nil {
-			return e.accumulateColumns(ctx.Cols)
-		}
-		return e.accumulate(ctx.Batch)
+		return e.accumulate(ctx)
 	case PostSortMode:
 		return nil
 	default:

@@ -12,12 +12,11 @@ import (
 	"prompt/internal/window"
 )
 
-// pipeScenario is one scheme×ingest cell of the depth-equivalence matrix.
+// pipeScenario is one scheme cell of the depth-equivalence matrix.
 type pipeScenario struct {
-	name     string
-	columnar bool // drive RunBatchesColumnar instead of RunBatches
-	faults   string
-	config   func(Config) Config
+	name   string
+	faults string
+	config func(Config) Config
 }
 
 func pipeScenarios() []pipeScenario {
@@ -29,12 +28,6 @@ func pipeScenarios() []pipeScenario {
 	}
 	return []pipeScenario{
 		{name: "prompt-row", config: prompt},
-		{name: "prompt-ingest", config: func(c Config) Config {
-			c = prompt(c)
-			c.ColumnarIngest = true
-			return c
-		}},
-		{name: "prompt-columnar", columnar: true, config: prompt},
 		{name: "prompt-sharded", config: func(c Config) Config {
 			c = prompt(c)
 			c.StatsShards = 3
@@ -85,13 +78,7 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := testSource(6000, 60, 17)
-	if sc.columnar {
-		_, err = eng.RunBatchesColumnar(src, n)
-	} else {
-		_, err = eng.RunBatches(src, n)
-	}
-	if err != nil {
+	if _, err := eng.RunBatches(testSource(6000, 60, 17), n); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -115,7 +102,7 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 // TestPipelinedDepthEquivalence is the engine-level golden invariant for
 // inter-batch pipelining: at depths 2 and 3, every report, the final
 // window, and the checkpoint image are bit-identical to the depth-1 run —
-// across schemes, row/columnar ingestion, sharded statistics, fault
+// across schemes, sharded statistics, fault
 // plans, and worker counts. Pipelining must change wall-clock time only.
 func TestPipelinedDepthEquivalence(t *testing.T) {
 	freezeClock(t)

@@ -59,13 +59,14 @@ type BatchContext struct {
 	// honors it mid-barrier. Nil means no cancellation (background).
 	Ctx context.Context
 	// Batch is the raw input: tuples with timestamps in [Start, End).
-	// On the columnar path Batch.Tuples may be nil — the rows exist only
+	// For a StepColumns batch Batch.Tuples may be nil — the rows exist only
 	// when some consumer (post-sort, validation, a row-only partitioner,
 	// the fault store) needs them; Cols then holds the batch.
 	Batch *tuple.Batch
-	// Cols is the columnar view of the batch when it was ingested through
-	// the columnar path (StepColumns or Config.ColumnarIngest); nil for
-	// row ingestion. Its IDs are interned in the engine's dictionary.
+	// Cols is the columnar view of the batch: the caller's batch under
+	// StepColumns, or the accumulate stage's transposition of the rows
+	// under frequency-aware accumulation; nil for post-sort row
+	// ingestion. Its IDs are interned in the engine's dictionary.
 	Cols *tuple.ColumnBatch
 	// Interval is the batch's own interval length (End - Start). It
 	// normally equals Config.BatchInterval, but adaptive batch sizing may

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"prompt/internal/core"
+	"prompt/internal/intern"
 	"prompt/internal/partition"
 	"prompt/internal/stats"
 	"prompt/internal/tuple"
@@ -84,20 +85,22 @@ func Fig14b(p Params, batchSizes []int) (*Fig14bResult, error) {
 		}
 		batch := &tuple.Batch{Start: 0, End: tuple.Second, Tuples: ts}
 
-		// Feed Algorithm 1 as the receiver would; its per-tuple work
-		// overlaps buffering, so only finalize+partition count.
-		acc, err := stats.NewAccumulator(stats.AccumulatorConfig{
+		// Feed Algorithm 1 as the engine does: rows transposed to
+		// columns, then the dictionary-mode column fold. Its per-tuple
+		// work overlaps buffering, so only finalize+partition count.
+		dict := intern.NewDict(0)
+		acc, err := stats.NewAccumulatorDict(stats.AccumulatorConfig{
 			Budget:          8,
 			EstimatedTuples: n,
 			EstimatedKeys:   p.Cardinality,
-		}, 0, tuple.Second)
+		}, dict, 0, tuple.Second)
 		if err != nil {
 			return nil, err
 		}
-		for i := range batch.Tuples {
-			if err := acc.Add(batch.Tuples[i], batch.Tuples[i].TS); err != nil {
-				return nil, err
-			}
+		cb := &tuple.ColumnBatch{Start: 0, End: tuple.Second}
+		cb.AppendRows(batch.Tuples, dict.Intern)
+		if err := acc.AddColumns(cb); err != nil {
+			return nil, err
 		}
 		t0 := time.Now()
 		sorted, st := acc.Finalize()

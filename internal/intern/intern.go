@@ -2,19 +2,18 @@
 // zero-allocation batch hot path: an append-only mapping from
 // partitioning-key strings to dense uint32 IDs.
 //
-// Keys are interned once, at receiver/accumulator ingestion, and stay
-// dense integers through the statistics, partitioning, shuffle, and
-// reduce structures; the strings are resolved back only at the
-// report/window boundary. Because the dictionary is append-only and
+// Keys are interned once, where a batch becomes columns (the engine's
+// accumulate-stage transposition, a Receiver drain, or a caller building
+// a ColumnBatch), and stay dense integers through the statistics,
+// partitioning, shuffle, and reduce structures; the strings are resolved
+// back only at the report/window boundary. Because the dictionary is append-only and
 // shared across batches, the per-key ID is stable for the stream's
 // lifetime, which lets the statistics hash table replace its
 // string-keyed map with an ID-indexed slot array that is reused batch
 // after batch.
 //
-// A Dict is safe for concurrent interning (the sharded accumulator's
-// shards intern in parallel); resolution is lock-free for IDs observed
-// through a happens-before edge (e.g. handed across the worker pool's
-// barrier).
+// A Dict is safe for concurrent interning and resolution, under a
+// read-write lock.
 package intern
 
 import (

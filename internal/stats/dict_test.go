@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prompt/internal/cluster"
 	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
@@ -30,10 +29,34 @@ func dictTestTuples(r *rand.Rand, n int, start, end tuple.Time) []tuple.Tuple {
 	return ts
 }
 
-// TestDictAccumulatorMatchesMapMode drives a dictionary-mode accumulator
-// and a map-mode accumulator through several batch intervals (exercising
-// entry-arena and tuple-buffer reuse across Resets) and asserts their
-// Finalize outputs are deeply identical every batch.
+// addRows folds rows into a dictionary-mode accumulator the way the
+// engine's accumulate stage does: transpose them into cb, interning keys
+// in arrival order, then run the column fold.
+func addRows(a *Accumulator, cb *tuple.ColumnBatch, rows []tuple.Tuple) error {
+	cb.Reset()
+	cb.AppendRows(rows, a.Dict().Intern)
+	return a.AddColumns(cb)
+}
+
+// asRows rewrites dictionary-mode Finalize output in map-mode form, each
+// key's column buffer materialized as tuples, so the two folds compare
+// with reflect.DeepEqual. A key that also carries a row buffer is kept
+// as is, so the comparison catches it.
+func asRows(keys []SortedKey) []SortedKey {
+	out := make([]SortedKey, len(keys))
+	for i, sk := range keys {
+		out[i] = sk
+		if sk.Tuples == nil {
+			out[i] = SortedKey{Key: sk.Key, Count: sk.Count, Tuples: sk.Cols.AppendTuples(nil, sk.Key)}
+		}
+	}
+	return out
+}
+
+// TestDictAccumulatorMatchesMapMode drives the dictionary-mode column
+// fold and the map-mode row fold through several batch intervals
+// (exercising entry-arena and column-buffer reuse across Resets) and
+// asserts their Finalize outputs are identical every batch.
 func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
 	dict := intern.NewDict(0)
@@ -45,6 +68,7 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cb tuple.ColumnBatch
 	r := rand.New(rand.NewSource(7))
 	for batch := 0; batch < 5; batch++ {
 		start := tuple.Time(batch) * tuple.Second
@@ -57,10 +81,11 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, tp := range dictTestTuples(r, 2000, start, end) {
-			if err := da.Add(tp, tp.TS); err != nil {
-				t.Fatal(err)
-			}
+		tuples := dictTestTuples(r, 2000, start, end)
+		if err := addRows(da, &cb, tuples); err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range tuples {
 			if err := ma.Add(tp, tp.TS); err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +95,7 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 		if !reflect.DeepEqual(dStats, mStats) {
 			t.Fatalf("batch %d: stats diverge: dict %+v map %+v", batch, dStats, mStats)
 		}
-		if !reflect.DeepEqual(dKeys, mKeys) {
+		if !reflect.DeepEqual(asRows(dKeys), mKeys) {
 			t.Fatalf("batch %d: sorted keys diverge (%d vs %d entries)",
 				batch, len(dKeys), len(mKeys))
 		}
@@ -81,7 +106,8 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 }
 
 // TestDictShardedMatchesMapSharded does the same comparison for the
-// sharded accumulator with a shared dictionary.
+// sharded accumulator: the dictionary-mode column fold (AddAllColumns)
+// against the map-mode row fold (AddAll).
 func TestDictShardedMatchesMapSharded(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
 	dict := intern.NewDict(0)
@@ -93,6 +119,7 @@ func TestDictShardedMatchesMapSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cb tuple.ColumnBatch
 	r := rand.New(rand.NewSource(11))
 	for batch := 0; batch < 5; batch++ {
 		start := tuple.Time(batch) * tuple.Second
@@ -106,7 +133,9 @@ func TestDictShardedMatchesMapSharded(t *testing.T) {
 			}
 		}
 		tuples := dictTestTuples(r, 2000, start, end)
-		if err := ds.AddAll(tuples, nil); err != nil {
+		cb.Reset()
+		cb.AppendRows(tuples, dict.Intern)
+		if err := ds.AddAllColumns(&cb, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := ms.AddAll(tuples, nil); err != nil {
@@ -117,9 +146,42 @@ func TestDictShardedMatchesMapSharded(t *testing.T) {
 		if !reflect.DeepEqual(dStats, mStats) {
 			t.Fatalf("batch %d: stats diverge: dict %+v map %+v", batch, dStats, mStats)
 		}
-		if !reflect.DeepEqual(dKeys, mKeys) {
+		if !reflect.DeepEqual(asRows(dKeys), mKeys) {
 			t.Fatalf("batch %d: sorted keys diverge", batch)
 		}
+	}
+}
+
+// TestDictModeRejectsRowFold pins the one-fold contract: dictionary-mode
+// accumulators fold only columns and map-mode accumulators only rows, so
+// the wrong entry point fails instead of silently buffering into the
+// other representation.
+func TestDictModeRejectsRowFold(t *testing.T) {
+	cfg := DefaultAccumulatorConfig()
+	dict := intern.NewDict(0)
+	da, err := NewAccumulatorDict(cfg, dict, 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := da.Add(tuple.NewTuple(0, "k", 1), 0); err == nil {
+		t.Error("dictionary-mode Add succeeded, want an error")
+	}
+	ds, err := NewShardedDict(cfg, dict, 2, 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.AddAll([]tuple.Tuple{tuple.NewTuple(0, "k", 1)}, nil); err == nil {
+		t.Error("dictionary-mode sharded AddAll succeeded, want an error")
+	}
+	ma, err := NewAccumulator(cfg, 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ma.AddColumns(&tuple.ColumnBatch{}); err == nil {
+		t.Error("map-mode AddColumns succeeded, want an error")
+	}
+	if da.Tuples() != 0 {
+		t.Errorf("rejected folds counted %d tuples", da.Tuples())
 	}
 }
 
@@ -133,20 +195,23 @@ func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cb tuple.ColumnBatch
 	feed := func(start tuple.Time) {
-		for i := 0; i < 1000; i++ {
-			tp := tuple.Tuple{
+		rows := make([]tuple.Tuple, 1000)
+		for i := range rows {
+			rows[i] = tuple.Tuple{
 				TS:  start + tuple.Time(i)*(tuple.Second/1000),
 				Key: fmt.Sprintf("k%d", i%10),
 			}
-			if err := a.Add(tp, tp.TS); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := addRows(a, &cb, rows); err != nil {
+			t.Fatal(err)
 		}
 	}
 	feed(0)
 	first, _ := a.Finalize()
 	firstPtr := &first[0]
+	firstCols := &first[0].Cols.TS[0]
 
 	if err := a.Reset(cfg, tuple.Second, 2*tuple.Second); err != nil {
 		t.Fatal(err)
@@ -156,12 +221,16 @@ func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 	if &second[0] != firstPtr {
 		t.Error("Finalize output slice was reallocated in steady state")
 	}
+	if &second[0].Cols.TS[0] != firstCols {
+		t.Error("per-key column buffer was reallocated in steady state")
+	}
 	if len(second) != 10 {
 		t.Fatalf("got %d keys, want 10", len(second))
 	}
 	for i := range second {
-		if second[i].Count != 100 {
-			t.Fatalf("key %s count %d, want 100", second[i].Key, second[i].Count)
+		if second[i].Count != 100 || second[i].Cols.Len() != 100 {
+			t.Fatalf("key %s count %d with %d buffered rows, want 100",
+				second[i].Key, second[i].Count, second[i].Cols.Len())
 		}
 	}
 }
@@ -176,49 +245,12 @@ func TestDictFinalizeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tp := range dictTestTuples(rand.New(rand.NewSource(5)), 2000, 0, tuple.Second) {
-		if err := a.Add(tp, tp.TS); err != nil {
-			t.Fatal(err)
-		}
+	var cb tuple.ColumnBatch
+	if err := addRows(a, &cb, dictTestTuples(rand.New(rand.NewSource(5)), 2000, 0, tuple.Second)); err != nil {
+		t.Fatal(err)
 	}
 	a.Finalize()
 	if allocs := testing.AllocsPerRun(20, func() { a.Finalize() }); allocs != 0 {
 		t.Fatalf("steady-state Finalize made %.1f allocations, want 0", allocs)
-	}
-}
-
-// TestDictShardedInternsInArrivalOrder runs the sharded row fold on a
-// multi-goroutine pool several times and requires the interned dictionary
-// to come out identical every time — and identical to a single
-// accumulator's, which interns in arrival order. IDs assigned in
-// goroutine-scheduling order would make checkpoints, wire dictionary
-// deltas and columnar IDs irreproducible.
-func TestDictShardedInternsInArrivalOrder(t *testing.T) {
-	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 5000, EstimatedKeys: 300}
-	tuples := shardedTestBatch(5000, 300, 9)
-	single := intern.NewDict(0)
-	acc, err := NewAccumulatorDict(cfg, single, 0, tuple.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range tuples {
-		if err := acc.Add(tp, tp.TS); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := single.Snapshot()
-	pool := cluster.NewWorkerPool(4)
-	for run := 0; run < 8; run++ {
-		dict := intern.NewDict(0)
-		sa, err := NewShardedDict(cfg, dict, 3, 0, tuple.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sa.AddAll(tuples, pool); err != nil {
-			t.Fatal(err)
-		}
-		if got := dict.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: sharded dictionary diverges from arrival-order interning", run)
-		}
 	}
 }

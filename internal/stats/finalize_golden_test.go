@@ -101,9 +101,9 @@ func goldenStreams() []goldenStream {
 const goldenBatches = 3
 
 // goldenDigests holds the captured digests per stream: [0] for the single
-// accumulator (row fold in map and dictionary mode, and the column fold,
-// which all hand off the same quasi-sorted order) and [1] for the sharded
-// accumulator (map and dictionary mode, exactly sorted merge).
+// accumulator (the map-mode row fold and the dictionary-mode column fold,
+// which hand off the same quasi-sorted order) and [1] for the sharded
+// accumulator (both modes, exactly sorted merge).
 var goldenDigests = map[string][2]string{
 	"zipf-hot":     {"61ea4a6bf0041b9a", "3ab51396c27ae57a"},
 	"uniform":      {"b16a46265360cdf5", "722dbe75a93397bb"},
@@ -159,7 +159,7 @@ func goldenFold(t *testing.T, gs goldenStream, fold string) string {
 		start, end := tuple.Time(b)*tuple.Second, tuple.Time(b+1)*tuple.Second
 		rows := gs.batch(r, b)
 		switch fold {
-		case "row-map", "row-dict", "cols":
+		case "row-map", "cols":
 			if acc == nil {
 				if fold == "row-map" {
 					acc, err = NewAccumulator(gs.cfg, start, end)
@@ -189,7 +189,7 @@ func goldenFold(t *testing.T, gs goldenStream, fold string) string {
 			}
 			keys, st := acc.Finalize()
 			digestFinalize(h, keys, st)
-		case "sharded-map", "sharded-dict":
+		case "sharded-map", "sharded-cols":
 			if sa == nil {
 				if fold == "sharded-map" {
 					sa, err = NewSharded(gs.cfg, 3, start, end)
@@ -202,7 +202,15 @@ func goldenFold(t *testing.T, gs goldenStream, fold string) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sa.AddAll(rows, pool); err != nil {
+			if fold == "sharded-cols" {
+				cb.Reset()
+				cb.Start, cb.End = start, end
+				cb.AppendRows(rows, dict.Intern)
+				err = sa.AddAllColumns(&cb, pool)
+			} else {
+				err = sa.AddAll(rows, pool)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			keys, st := sa.Finalize(pool)
@@ -218,7 +226,7 @@ func goldenFold(t *testing.T, gs goldenStream, fold string) string {
 // digests.
 func TestFinalizeGolden(t *testing.T) {
 	for _, gs := range goldenStreams() {
-		for _, fold := range []string{"row-map", "row-dict", "cols", "sharded-map", "sharded-dict"} {
+		for _, fold := range []string{"row-map", "cols", "sharded-map", "sharded-cols"} {
 			t.Run(gs.name+"/"+fold, func(t *testing.T) {
 				want := goldenDigests[gs.name][0]
 				if strings.HasPrefix(fold, "sharded") {

@@ -23,12 +23,13 @@ type KeyEntry struct {
 	Key string
 	// ID is the key's dense intern ID when the table runs in dictionary
 	// mode; 0 (and unused) in map mode.
-	ID     uint32
+	ID uint32
+	// Tuples buffers the key's tuples in map mode; empty in dictionary
+	// mode.
 	Tuples []tuple.Tuple
-	// Cols buffers the key's tuples in columnar form when the accumulator
-	// folds a ColumnBatch; Tuples stays empty then. Like Tuples, the
-	// backing arrays survive arena rewinds so steady-state ingestion
-	// allocates nothing.
+	// Cols buffers the key's tuples in dictionary mode, whose only fold
+	// is the column fold; empty in map mode. Its backing arrays survive
+	// arena rewinds, so steady-state ingestion allocates nothing.
 	Cols        tuple.ColSlice
 	FreqCurrent int
 	FreqUpdated int
@@ -46,7 +47,7 @@ type KeyEntry struct {
 //
 //   - Dictionary mode (hot path): keys are addressed by their dense
 //     intern ID. Entries live in one flat arena reused batch after batch
-//     — per-key tuple buffers keep their backing arrays across Resets —
+//     — per-key column buffers keep their backing arrays across Resets —
 //     and the ID → entry index translation is a flat int32 slot array,
 //     so steady-state ingestion allocates nothing.
 //   - Map mode (string path): a plain string-keyed Go map, kept for
@@ -118,8 +119,8 @@ func (h *HTable) GetID(id uint32) *KeyEntry {
 func (h *HTable) Put(e *KeyEntry) { h.m[e.Key] = e }
 
 // PutID appends a fresh entry for the interned key id and returns it,
-// zeroed except for Key, ID, and a length-0 tuple buffer that keeps
-// whatever backing array the arena slot held in an earlier batch. The
+// zeroed except for Key, ID, and length-0 column buffers that keep
+// whatever backing arrays the arena slot held in an earlier batch. The
 // caller guarantees the id is absent. The pointer is valid until the
 // next PutID or Reset.
 func (h *HTable) PutID(id uint32, key string) *KeyEntry {
@@ -133,9 +134,7 @@ func (h *HTable) PutID(id uint32, key string) *KeyEntry {
 		h.entries = append(h.entries, KeyEntry{})
 	}
 	e := &h.entries[n]
-	tuples := e.Tuples[:0] // reuse the slot's previous backing arrays
-	cols := e.Cols.Reset()
-	*e = KeyEntry{Key: key, ID: id, Tuples: tuples, Cols: cols}
+	*e = KeyEntry{Key: key, ID: id, Cols: e.Cols.Reset()} // reuse the slot's previous column arrays
 	h.slot[id] = int32(n) + 1
 	return e
 }
@@ -153,7 +152,7 @@ func (h *HTable) growSlots(n int) {
 
 // Reset clears the table for the next batch interval, reusing memory: in
 // dictionary mode only the slots of this batch's entries are cleared and
-// the entry arena rewinds (tuple buffers keep their arrays); in map mode
+// the entry arena rewinds (column buffers keep their arrays); in map mode
 // the map is cleared in place and only reallocated when the hint says
 // the next batch will not fit the current buckets anyway.
 func (h *HTable) Reset(hint int) {

@@ -26,22 +26,20 @@ import (
 // publishes counts for its own keys only, so the global quasi-order is
 // not reconstructible); counts and tuple lists are identical.
 //
-// With a shared intern dictionary (NewShardedDict) every shard runs the
-// zero-allocation hot path. Keys are interned in the sequential routing
-// scan, in arrival order, so intern IDs — and with them checkpoint bytes,
-// wire dictionary deltas and columnar IDs — are the same at any worker
-// count and match the single accumulator's. The merged output slice is
-// reused across batches (valid until the next Reset), matching the single
-// accumulator's dict-mode contract.
+// Like the single accumulator, it runs in one of two modes with one fold
+// each: map mode routes row tuples (AddAll), and dictionary mode
+// (NewShardedDict, a shared intern dictionary) routes ColumnBatches whose
+// keys the caller already interned (AddAllColumns), so every shard runs
+// the zero-allocation column fold. The merged output slice is reused
+// across batches in dictionary mode (valid until the next Reset),
+// matching the single accumulator's dict-mode contract.
 type ShardedAccumulator struct {
 	shards []*Accumulator
 	dict   *intern.Dict
-	// route[s] collects the tuples of shard s for the current batch, and
-	// routeIDs[s] their intern IDs in dictionary mode; reused across
-	// batches to avoid reallocation.
-	route    [][]tuple.Tuple
-	routeIDs [][]uint32
-	// routeCols[s] is route[s]'s columnar twin for AddAllColumns.
+	// route[s] (map mode) and routeCols[s] (dictionary mode) collect the
+	// rows of shard s for the current batch; reused across batches to
+	// avoid reallocation.
+	route     [][]tuple.Tuple
 	routeCols []tuple.ColumnBatch
 	// bucket caches each intern ID's shard (hashutil.Bucket of the key),
 	// computed once per key; -1 = not yet computed. Valid for the
@@ -64,7 +62,7 @@ func NewSharded(cfg AccumulatorConfig, shards int, start, end tuple.Time) (*Shar
 }
 
 // NewShardedDict is NewSharded on the zero-allocation hot path: every
-// shard interns keys into the shared dictionary.
+// shard folds columns whose IDs were interned into the shared dictionary.
 func NewShardedDict(cfg AccumulatorConfig, dict *intern.Dict, shards int, start, end tuple.Time) (*ShardedAccumulator, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("stats: nil intern dictionary")
@@ -80,7 +78,6 @@ func newSharded(cfg AccumulatorConfig, dict *intern.Dict, shards int, start, end
 		shards:    make([]*Accumulator, shards),
 		dict:      dict,
 		route:     make([][]tuple.Tuple, shards),
-		routeIDs:  make([][]uint32, shards),
 		routeCols: make([]tuple.ColumnBatch, shards),
 		errs:      make([]error, shards),
 		keys:      make([][]SortedKey, shards),
@@ -130,16 +127,19 @@ func (sa *ShardedAccumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time
 	return nil
 }
 
-// AddAll ingests one batch interval's tuples: a single sequential routing
-// scan checks each timestamp, interns the key (dictionary mode) and splits
-// the tuples by key hash, then each shard accumulates its slice on the
-// pool (or inline with a nil pool). Arrival time equals the tuple
-// timestamp, as in the engine's simulated stream.
+// AddAll ingests one batch interval's tuples in map mode: a single
+// sequential routing scan checks each timestamp and splits the tuples by
+// key hash, then each shard accumulates its slice on the pool (or inline
+// with a nil pool). Arrival time equals the tuple timestamp, as in the
+// engine's simulated stream. Dictionary mode ingests through
+// AddAllColumns.
 func (sa *ShardedAccumulator) AddAll(tuples []tuple.Tuple, pool *cluster.WorkerPool) error {
+	if sa.dict != nil {
+		return fmt.Errorf("stats: AddAll requires a map-mode accumulator; dictionary mode folds through AddAllColumns")
+	}
 	n := len(sa.shards)
 	for s := range sa.route {
 		sa.route[s] = sa.route[s][:0]
-		sa.routeIDs[s] = sa.routeIDs[s][:0]
 	}
 	first := sa.shards[0]
 	for i := range tuples {
@@ -147,27 +147,13 @@ func (sa *ShardedAccumulator) AddAll(tuples []tuple.Tuple, pool *cluster.WorkerP
 		if err := first.checkTS(t.TS); err != nil {
 			return err
 		}
-		if sa.dict == nil {
-			s := hashutil.Bucket(t.Key, n)
-			sa.route[s] = append(sa.route[s], *t)
-			continue
-		}
-		id := sa.dict.Intern(t.Key)
-		s := sa.shardOf(id)
+		s := hashutil.Bucket(t.Key, n)
 		sa.route[s] = append(sa.route[s], *t)
-		sa.routeIDs[s] = append(sa.routeIDs[s], id)
 	}
 	pool.Do(n, func(s int) {
 		acc := sa.shards[s]
-		if sa.dict == nil {
-			for _, t := range sa.route[s] {
-				acc.addKey(t, t.TS)
-			}
-			return
-		}
-		ids := sa.routeIDs[s]
-		for j, t := range sa.route[s] {
-			acc.addID(ids[j], t, t.TS)
+		for _, t := range sa.route[s] {
+			acc.addKey(t, t.TS)
 		}
 	})
 	return nil
@@ -192,13 +178,13 @@ func (sa *ShardedAccumulator) shardOf(id uint32) int32 {
 	return s
 }
 
-// AddAllColumns is AddAll for a ColumnBatch: the routing scan walks the
+// AddAllColumns is the dictionary-mode fold: the routing scan walks the
 // contiguous ID column (each key's shard is cached after its first
 // resolution, so the steady state never hashes strings), splits the rows
 // into per-shard column buffers preserving arrival order, and each shard
 // runs its column fold on the pool. Shard assignment is the same
-// hashutil.Bucket of the key string as AddAll, so the merged output is
-// bit-identical to the row fold's. Dictionary mode only.
+// hashutil.Bucket of the key string as AddAll, so the merged counts and
+// order are bit-identical to the map-mode fold's.
 func (sa *ShardedAccumulator) AddAllColumns(cb *tuple.ColumnBatch, pool *cluster.WorkerPool) error {
 	if sa.dict == nil {
 		return fmt.Errorf("stats: AddAllColumns requires a dictionary-mode accumulator")

@@ -62,8 +62,8 @@ func (cb *ColumnBatch) Append(id uint32, ts Time, val float64, w int32) {
 
 // AppendRows converts row tuples into columns, interning each key through
 // intern (typically the owning engine's dictionary). Row order is
-// preserved, which is what makes column-mode runs bit-identical to
-// row-mode runs.
+// preserved, so keys intern in arrival order and a column fold makes the
+// same per-row decisions as a fold over the rows.
 func (cb *ColumnBatch) AppendRows(rows []Tuple, intern func(string) uint32) {
 	cb.Grow(len(rows))
 	for i := range rows {

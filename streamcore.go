@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"time"
 
@@ -112,7 +113,8 @@ func (c *streamCore) Parallelism() (mapTasks, reduceTasks int) {
 // ProcessBatch ingests the tuples of the next batch interval and runs the
 // full micro-batch lifecycle: statistics, partitioning, Map stage, bucket
 // assignment, Reduce stage, fault recovery, and window maintenance.
-// Tuples must be stamped within [Now, Now+BatchInterval).
+// Tuples must be stamped within [Now, Now+BatchInterval), and their
+// weights must fit in an int32.
 func (c *streamCore) ProcessBatch(tuples []Tuple) (BatchReport, error) {
 	return c.ProcessBatchContext(context.Background(), tuples)
 }
@@ -122,6 +124,9 @@ func (c *streamCore) ProcessBatch(tuples []Tuple) (BatchReport, error) {
 // so cancellation surfaces well within one batch's work. A cancelled
 // batch commits nothing and the stream stays usable.
 func (c *streamCore) ProcessBatchContext(ctx context.Context, tuples []Tuple) (BatchReport, error) {
+	if err := checkWeights(tuples); err != nil {
+		return BatchReport{}, err
+	}
 	start := c.eng.Now()
 	end := start + c.eng.Config().BatchInterval
 	rep, err := c.eng.StepContext(ctx, tuples, start, end)
@@ -165,7 +170,7 @@ func (c *streamCore) RunContext(ctx context.Context, src BatchSource, n int) ([]
 		}
 		start := c.eng.Now()
 		end := start + c.eng.Config().BatchInterval
-		tuples, err := src(start, end)
+		tuples, err := batchSourceStream{src: src}.Slice(start, end)
 		if err != nil {
 			return out, err
 		}
@@ -185,12 +190,39 @@ func (c *streamCore) RunContext(ctx context.Context, src BatchSource, n int) ([]
 // batchSourceStream adapts the public BatchSource to the engine's pull
 // interface so Run can hand the whole drive loop to the pipelined
 // driver. The engine pulls intervals sequentially, exactly as the
-// sequential loop does; Reset is never called on a live run.
+// sequential loop does; Reset is never called on a live run. Every
+// pulled interval passes checkWeights.
 type batchSourceStream struct{ src BatchSource }
 
-func (s batchSourceStream) Slice(start, end Time) ([]Tuple, error) { return s.src(start, end) }
+func (s batchSourceStream) Slice(start, end Time) ([]Tuple, error) {
+	tuples, err := s.src(start, end)
+	if err != nil {
+		return nil, err
+	}
+	return tuples, checkWeights(tuples)
+}
 
 func (s batchSourceStream) Reset() {}
+
+// checkWeight is the public ingest boundary's check on tuple weights:
+// the engine stores them as int32 in its columns, so a weight outside
+// that range is rejected rather than truncated.
+func checkWeight(t *Tuple) error {
+	if t.Weight < math.MinInt32 || t.Weight > math.MaxInt32 {
+		return fmt.Errorf("prompt: tuple %q at %v: weight %d outside the int32 range", t.Key, t.TS, t.Weight)
+	}
+	return nil
+}
+
+// checkWeights applies checkWeight to every tuple of a batch.
+func checkWeights(tuples []Tuple) error {
+	for i := range tuples {
+		if err := checkWeight(&tuples[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // observeElastic feeds one committed batch's report to the elastic
 // policy and applies its decision: new parallelism for subsequent
@@ -219,7 +251,7 @@ func (c *streamCore) observeElastic(rep BatchReport) error {
 // boundary. Only the runtime-changeable options are accepted —
 // WithParallelism, WithCores, WithWorkers, WithObserver,
 // WithPipelineDepth; every other
-// option (scheme, batch interval, topology, columnar mode, …) describes
+// option (scheme, batch interval, topology, statistics shards, …) describes
 // construction-time structure, and asking for a different value returns
 // an error wrapping ErrBadConfig with the stream unchanged. Passing a
 // construction-time option with its current value is a no-op, so a saved
@@ -270,14 +302,6 @@ func (c *streamCore) Reconfigure(opts ...Option) error {
 	return nil
 }
 
-// SetParallelism changes the Map/Reduce task counts for subsequent
-// batches.
-//
-// Deprecated: use Reconfigure(WithParallelism(mapTasks, reduceTasks)).
-func (c *streamCore) SetParallelism(mapTasks, reduceTasks int) error {
-	return c.Reconfigure(WithParallelism(mapTasks, reduceTasks))
-}
-
 // SetCores changes the simulated core budget for subsequent batches and
 // restores any cores lost to injected kills — including when the count
 // is unchanged, which Reconfigure would treat as a no-op.
@@ -290,15 +314,6 @@ func (c *streamCore) SetCores(cores int) error {
 	}
 	c.cfg.Cores = cores
 	return nil
-}
-
-// SetWorkers changes the number of real worker goroutines executing the
-// batch pipeline for subsequent batches: 0 restores the single-goroutine
-// driver, negative selects GOMAXPROCS. Reports are unaffected.
-//
-// Deprecated: use Reconfigure(WithWorkers(workers)).
-func (c *streamCore) SetWorkers(workers int) error {
-	return c.Reconfigure(WithWorkers(workers))
 }
 
 // SetObserver installs (or, with nil, removes) a batch-lifecycle observer
